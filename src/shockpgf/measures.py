@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -90,8 +90,8 @@ class Segment:
 class MixingDistribution:
     """Point masses plus a piecewise-constant density on [0, inf).
 
-    Constructor invariants: every atom has positive mass at a strictly
-    positive location, segments are disjoint with finite endpoints and
+    Constructor invariants: every scalar is finite, every atom has positive
+    mass at a strictly positive location, segments are disjoint with
     non-negative density, and the total mass is one (exactly for rational
     data, within MASS_TOL otherwise). Atoms and segments are stored sorted
     by location.
@@ -101,6 +101,14 @@ class MixingDistribution:
     segments: tuple[Segment, ...] = ()
 
     def __post_init__(self) -> None:
+        exact = self.exact
+        if not exact:
+            for part in (*self.atoms, *self.segments):
+                for f in fields(part):
+                    x = getattr(part, f.name)
+                    if not is_exact(x) and not math.isfinite(x):
+                        kind = type(part).__name__.lower()
+                        raise ValidationError(f"{kind} {f.name}={x!r} is not finite")
         atoms = tuple(sorted(self.atoms, key=lambda a: a.y))
         segments = tuple(sorted(self.segments, key=lambda s: s.lo))
         object.__setattr__(self, "atoms", atoms)
@@ -121,8 +129,6 @@ class MixingDistribution:
                 raise ValidationError(f"segment lower endpoint {s.lo} is negative")
             if not s.lo < s.hi:
                 raise ValidationError(f"segment [{s.lo}, {s.hi}) is empty or reversed")
-            if math.isinf(float(s.hi)):
-                raise ValidationError("segment upper endpoint must be finite")
             if s.density < 0:
                 raise ValidationError(f"segment density {s.density} is negative")
         for left, right in zip(segments, segments[1:]):
@@ -131,7 +137,7 @@ class MixingDistribution:
                     f"segments [{left.lo}, {left.hi}) and [{right.lo}, {right.hi}) overlap"
                 )
         total = self.total_mass
-        if self.exact:
+        if exact:
             if total != 1:
                 raise ValidationError(f"total mass is {total}, must be exactly 1")
         elif abs(total - 1) > MASS_TOL:

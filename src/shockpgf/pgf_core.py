@@ -176,8 +176,26 @@ def tail_violation(values) -> str | None:
     return None
 
 
+def require_tail(values) -> None:
+    """Raise ValidationError with the reason when ``tail_violation`` finds one."""
+    reason = tail_violation(values)
+    if reason is not None:
+        raise ValidationError(f"not a valid tail sequence: {reason}")
+
+
 def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     """Shock-resistance tails: entry k integrates (1 - y)**k against q.
+
+    For an exact q, every atom location and segment endpoint enters as
+    1 - y = a/B over one common denominator B, and every atom mass and
+    density as w/M over one common denominator M. With running integer
+    powers of the a's, entry k is the single fraction
+
+        ((k+1)*B * sum_atoms w*a**k + sum_segments w*(a_lo**(k+1) - a_hi**(k+1)))
+        / (M * (k+1) * B**(k+1)),
+
+    normalised once. A q with any float scalar integrates each entry
+    through ``integrate(q, power_of_a(k))`` in float arithmetic instead.
 
     The moment formula is applied to whatever support q has; use
     ``tail_violation`` or the analysis helpers to decide whether the result
@@ -185,14 +203,37 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise ValidationError(f"truncation order {K!r} must be a non-negative integer")
-    return TailSequence.from_values(integrate(q, power_of_a(k)) for k in range(K + 1))
+    if not q.exact:
+        return TailSequence.from_values(integrate(q, power_of_a(k)) for k in range(K + 1))
+    segments = [s for s in q.segments if s.density > 0]
+    B = math.lcm(*(a.y.denominator for a in q.atoms),
+                 *(x.denominator for s in segments for x in (s.lo, s.hi)))
+    M = math.lcm(*(a.p.denominator for a in q.atoms), *(s.density.denominator for s in segments))
+
+    def scaled(x, den: int) -> int:
+        return x.numerator * (den // x.denominator)
+
+    atom_w = [scaled(a.p, M) for a in q.atoms]
+    atom_a = [scaled(1 - a.y, B) for a in q.atoms]
+    seg_w = [scaled(s.density, M) for s in segments]
+    seg_a = [(scaled(1 - s.lo, B), scaled(1 - s.hi, B)) for s in segments]
+    atom_pow = [1] * len(atom_a)
+    seg_pow = list(seg_a)
+    B_pow = B
+    values = []
+    for k in range(K + 1):
+        n = (k + 1) * B * sum(w * x for w, x in zip(atom_w, atom_pow))
+        n += sum(w * (lo - hi) for w, (lo, hi) in zip(seg_w, seg_pow))
+        values.append(Fraction(n, M * (k + 1) * B_pow))
+        atom_pow = [x * a for x, a in zip(atom_pow, atom_a)]
+        seg_pow = [(lo * a_lo, hi * a_hi) for (lo, hi), (a_lo, a_hi) in zip(seg_pow, seg_a)]
+        B_pow *= B
+    return TailSequence.from_values(values)
 
 
 def pmf_from_tail(t: TailSequence) -> PmfSequence:
     """Differences of a valid tail sequence: q_n = u_{n-1} - u_n, q_0 = 1 - u_0."""
-    reason = tail_violation(t.values)
-    if reason is not None:
-        raise ValidationError(f"not a valid tail sequence: {reason}")
+    require_tail(t.values)
     vals = [1 - t.values[0]]
     vals += [t.values[n - 1] - t.values[n] for n in range(1, len(t.values))]
     return PmfSequence.from_values(vals)

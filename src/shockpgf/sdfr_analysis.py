@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import pairwise
 
 from .errors import ValidationError
 from .measures import (
@@ -73,19 +75,27 @@ class DifferenceTable:
         }
 
 
+def _check_order(n: int, J) -> None:
+    """Refuse an order J that is not a non-negative int or needs more than n entries."""
+    if not isinstance(J, int) or isinstance(J, bool) or J < 0:
+        raise ValidationError(f"order {J!r} must be a non-negative integer")
+    if n < J + 1:
+        raise ValidationError(
+            f"need at least J+1 = {J + 1} entries to difference {J} times, have {n}"
+        )
+
+
+def _decrement(row: list) -> list:
+    return [a - b for a, b in pairwise(row)]
+
+
 def difference_table(u, J: int) -> DifferenceTable:
     """Build rows 0..J of iterated decrements of u."""
     vals = _values(u)
-    if not isinstance(J, int) or isinstance(J, bool) or J < 0:
-        raise ValidationError(f"order {J!r} must be a non-negative integer")
-    if len(vals) < J + 1:
-        raise ValidationError(
-            f"need at least J+1 = {J + 1} entries to difference {J} times, have {len(vals)}"
-        )
+    _check_order(len(vals), J)
     rows = [tuple(vals)]
     for _ in range(J):
-        prev = rows[-1]
-        rows.append(tuple(prev[k] - prev[k + 1] for k in range(len(prev) - 1)))
+        rows.append(tuple(_decrement(rows[-1])))
     return DifferenceTable(tuple(rows), all(is_exact(v) for v in vals))
 
 
@@ -94,15 +104,33 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
 
     Returns (verdict, first_violation) where the violation is the
     lexicographically first (j, k) with a decrement below -tol, or None.
+    Rows are built one at a time, row j is scanned in k order before row
+    j+1 exists, and the scan stops at the first violation, so a sequence
+    that fails early costs only the rows up to its failure.
+
+    All-exact input (ints and Fractions) is scaled once to integers over
+    the common denominator L = lcm(denominators), so the rows are plain
+    integer subtractions, and a cell v fails when the integer v lies below
+    ceil(-tol*L), which is v/L < -tol in exact arithmetic. Any other input
+    is differenced in its own arithmetic, as ``difference_table`` does.
     Use tol=0 for exact input; for float input pass a small tolerance to
     absorb cancellation noise in the higher rows.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
-    table = difference_table(u, J)
-    for j, row in enumerate(table.entries):
+    vals = _values(u)
+    _check_order(len(vals), J)
+    if all(is_exact(v) for v in vals):
+        L = math.lcm(*(v.denominator for v in vals))
+        row = [v.numerator * (L // v.denominator) for v in vals]
+        limit = -tol if tol == math.inf else math.ceil(-Fraction(tol) * L)
+    else:
+        row, limit = list(vals), -tol
+    for j in range(J + 1):
+        if j:
+            row = _decrement(row)
         for k, v in enumerate(row):
-            if v < -tol:
+            if v < limit:
                 return False, (j, k)
     return True, None
 

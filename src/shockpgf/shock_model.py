@@ -33,7 +33,7 @@ from .measures import (
     parse_number,
     sample_locations,
 )
-from .pgf_core import TailSequence, pgf_eval, tail_sequence, tail_violation
+from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
 from .sdfr_analysis import is_completely_monotone
 
 _BLOCK = 1 << 14
@@ -98,9 +98,7 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     t = float(t)
     if t < 0:
         raise ValidationError(f"time t={t} must be non-negative")
-    reason = tail_violation(t_seq.values)
-    if reason is not None:
-        raise ValidationError(f"not a valid tail sequence: {reason}")
+    require_tail(t_seq.values)
     mu = float(params.lam) * t
     if mu == 0:
         return 1.0
@@ -163,6 +161,10 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
     continuous-time property at any grid resolution. Returns the same
     (verdict, first_violation) pair as ``is_completely_monotone``; tol
     defaults to 1e-9 times the largest skeleton value.
+
+    Exact tails are validated once and converted to floats once; the
+    series reads only their float values, so every skeleton value is the
+    one the exact tails would give.
     """
     delta = float(delta)
     if delta <= 0:
@@ -171,6 +173,10 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
         raise ValidationError(f"order J={J!r} must be a positive integer")
     if n_points < J + 1:
         raise ValidationError(f"need n_points >= J+1 = {J + 1}, have {n_points}")
+    if t_seq.exact:
+        # validate the rationals before rounding: an exact increase can round to equal floats
+        require_tail(t_seq.values)
+        t_seq = TailSequence.from_values(float(v) for v in t_seq.values)
     u = [survival(t_seq, params, n * delta) for n in range(n_points)]
     if tol is None:
         tol = 1e-9 * max(abs(x) for x in u)
@@ -297,9 +303,7 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     if not params.time_grid:
         raise ValidationError("params.time_grid must be non-empty for a survival report")
     t_seq = tail_sequence(q, K)
-    reason = tail_violation(t_seq.values)
-    if reason is not None:
-        raise ValidationError(f"not a valid tail sequence: {reason}")
+    require_tail(t_seq.values)
     tail = np.array([float(v) for v in t_seq.values])
     leftover = tail[-1]
     ratio = None

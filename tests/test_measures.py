@@ -73,6 +73,19 @@ def test_constructor_rejects_invalid(atoms, segments):
         MixingDistribution(atoms, segments)
 
 
+def test_constructor_rejects_nan_density():
+    # every comparison with NaN is false, so only an explicit check refuses it
+    with pytest.raises(ValidationError, match="density=nan is not finite"):
+        MixingDistribution(segments=(Segment(0.0, 0.5, 2.0), Segment(0.5, 1.0, math.nan)))
+
+
+def test_constructor_rejects_infinite_atom():
+    with pytest.raises(ValidationError, match="atom y=inf is not finite"):
+        MixingDistribution(atoms=(Atom(0.5, 0.5), Atom(math.inf, 0.5)))
+    with pytest.raises(ValidationError, match="hi=inf is not finite"):
+        MixingDistribution(segments=(Segment(0.0, 1.0, 1.0), Segment(1.0, math.inf, 0.0)))
+
+
 def test_float_mass_tolerance():
     MixingDistribution(atoms=(Atom(0.5, 0.5 + 4e-13), Atom(0.75, 0.5),))
     with pytest.raises(ValidationError):

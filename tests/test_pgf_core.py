@@ -5,14 +5,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shockpgf import (
+    Atom,
+    MixingDistribution,
+    Segment,
     ValidationError,
     counterexample_Q,
     counterexample_params,
     counterexample_tail,
     counterexample_tail_sequence,
+    difference_table,
     geometric_pmf,
+    integrate,
     kernel,
     lemma22_coefficients,
     mass_on,
@@ -20,12 +27,18 @@ from shockpgf import (
     pgf_eval,
     pmf_from_tail,
     point_mass,
+    power_of_a,
     resistance_gf,
     tail_sequence,
     tail_violation,
     uniform_density,
 )
-from shockpgf.families import random_admissible_params, random_unit_support
+from shockpgf.families import (
+    random_admissible_params,
+    random_mid_mass,
+    random_unit_support,
+    random_with_mass_beyond_two,
+)
 from shockpgf.pgf_core import PmfSequence, TailSequence
 
 P17 = counterexample_params("1/7", "2/3")
@@ -109,6 +122,58 @@ def test_closed_form_matches_moments_for_seeded_params():
         p = random_admissible_params(rng)
         t = tail_sequence(counterexample_Q(p), 30)
         assert t.values == counterexample_tail_sequence(p, 30).values
+
+
+def test_tail_sequence_exact_for_int_scalars():
+    # int endpoints and densities are exact data, so the tails are rational
+    t = tail_sequence(MixingDistribution(segments=(Segment(0, 1, 1),)), 3)
+    assert t.exact and t.values == (F(1), F(1, 2), F(1, 3), F(1, 4))
+
+
+def _hausdorff_moment(q, j, k):
+    """The integral of y**j * (1 - y)**k against q, expanding (1 - y)**k binomially."""
+    total = sum(a.p * a.y**j * (1 - a.y) ** k for a in q.atoms)
+    for s in q.segments:
+        for i in range(k + 1):
+            e = j + i + 1
+            total += s.density * math.comb(k, i) * (-1) ** i * (s.hi**e - s.lo**e) / e
+    return total
+
+
+@st.composite
+def _wide_laws(draw):
+    """Exact laws with atoms up to 3 and segments up to 3, beyond both 1 and 2."""
+    locs = draw(st.lists(st.fractions(F(1, 24), 3, max_denominator=24), unique=True, max_size=3))
+    cuts = sorted(set(draw(st.lists(st.fractions(0, 3, max_denominator=24), max_size=6))))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(locs), max_size=len(locs)))
+    weights += draw(st.lists(st.integers(0, 9), min_size=len(spans), max_size=len(spans)))
+    total = sum(weights)
+    assume(total > 0)
+    atoms = tuple(Atom(y, F(w, total)) for y, w in zip(locs, weights))
+    segments = tuple(Segment(lo, hi, F(w, total) / (hi - lo))
+                     for (lo, hi), w in zip(spans, weights[len(locs):]))
+    return MixingDistribution(atoms, segments)
+
+
+def _family_law(seed):
+    rng = random.Random(seed)
+    gen = rng.choice((random_unit_support, random_mid_mass, random_with_mass_beyond_two))
+    return gen(rng)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(q=st.one_of(st.integers(0, 10**6).map(_family_law), _wide_laws()),
+       K=st.integers(0, 40), data=st.data())
+def test_tail_sequence_matches_integrate_and_hausdorff_moments(q, K, data):
+    """The common-denominator tails equal the per-entry integrals and the moments."""
+    t = tail_sequence(q, K)
+    assert t.exact
+    assert t.values == tuple(integrate(q, power_of_a(k)) for k in range(K + 1))
+    for _ in range(3):
+        j = data.draw(st.integers(0, K))
+        k = data.draw(st.integers(0, K - j))
+        assert difference_table(t, j).value(j, k) == _hausdorff_moment(q, j, k)
 
 
 def test_tail_violation_reasons():

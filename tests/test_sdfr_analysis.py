@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockpgf import (
     VERDICT_CANDIDATE,
@@ -93,6 +95,77 @@ def test_cm_tolerance_absorbs_float_noise():
     assert ok
     strict_ok, first = is_completely_monotone(u, 2, 0)
     assert not strict_ok and first == (1, 7)
+
+
+def test_cm_tolerance_on_exact_input():
+    u = [F(1)] * 16
+    u[7] -= F(1, 10**10)
+    assert is_completely_monotone(u, 2, 1e-9) == (True, None)
+    assert is_completely_monotone(u, 2, F(1, 10**10)) == (True, None)
+    assert is_completely_monotone(u, 2, F(1, 10**10 + 1)) == (False, (1, 7))
+    assert is_completely_monotone(u, 2, 0) == (False, (1, 7))
+    assert is_completely_monotone(u, 2, math.inf) == (True, None)
+
+
+def test_cm_rejects_nan_tolerance():
+    # every comparison with NaN is false, so a NaN tolerance would pass any sequence
+    with pytest.raises(ValidationError, match="tolerance"):
+        is_completely_monotone((F(1), F(2)), 1, math.nan)
+
+
+def _first_violation_by_table(u, J, tol):
+    """Reference verdict: scan the whole difference table row by row."""
+    for j, row in enumerate(difference_table(u, J).entries):
+        for k, v in enumerate(row):
+            if v < -tol:
+                return False, (j, k)
+    return True, None
+
+
+_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+# moment sequences sum w * (1 - y)**k: CM for y in [0, 1], failing deep in the table beyond
+_moments = st.builds(
+    lambda atoms, n: [sum(w * (1 - y) ** k for y, w in atoms) for k in range(n)],
+    st.lists(st.tuples(st.fractions(0, 2, max_denominator=12), st.integers(1, 5)),
+             min_size=1, max_size=3),
+    st.integers(1, 14),
+)
+_exact_seqs = st.one_of(
+    st.lists(st.one_of(_fractions, st.integers(-3, 3)), min_size=1, max_size=14), _moments
+)
+_float_seqs = st.one_of(
+    st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=14),
+    _moments.map(lambda u: [float(v) for v in u]),
+)
+_tols = st.one_of(st.sampled_from((0, 0.0, math.inf)), st.fractions(0, 1, max_denominator=1000),
+                  st.floats(0, 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(u=st.one_of(_exact_seqs, _float_seqs), tol=_tols, data=st.data())
+def test_cm_check_matches_full_table_scan(u, tol, data):
+    """Early exit and the integer common denominator change no verdict."""
+    J = data.draw(st.integers(0, len(u) - 1))
+    assert is_completely_monotone(u, J, tol) == _first_violation_by_table(u, J, tol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), K=st.integers(1, 60), data=st.data())
+def test_cm_check_matches_full_table_scan_on_tails(seed, K, data):
+    rng = random.Random(seed)
+    gen = rng.choice((random_unit_support, random_mid_mass, random_with_mass_beyond_two))
+    u = tail_sequence(gen(rng), K)
+    J = data.draw(st.integers(0, K))
+    assert is_completely_monotone(u, J) == _first_violation_by_table(u.values, J, 0)
+
+
+def test_cm_check_order_guard_matches_difference_table():
+    for J, match in ((-1, "non-negative integer"), (True, "non-negative integer"),
+                     (5, "need at least J\\+1 = 6 entries")):
+        with pytest.raises(ValidationError, match=match):
+            difference_table((F(1), F(1, 2)), J)
+        with pytest.raises(ValidationError, match=match):
+            is_completely_monotone((F(1), F(1, 2)), J)
 
 
 def test_tail_validity_wraps_reason():

@@ -165,6 +165,17 @@ def test_skeleton_check_validation():
         sdfr_skeleton_check(t_seq, params, 0.5, 4, n_points=3)
 
 
+def test_skeleton_check_validates_exact_tails_before_rounding():
+    # u_2 exceeds u_1 by 1e-30, below float resolution: the float copy is a valid tail
+    u = [F(1, k + 1) for k in range(60)]
+    u[2] = F(1, 2) + F(1, 10**30)
+    params = ShockModelParams(lam=1)
+    floats = TailSequence.from_values(float(v) for v in u)
+    assert sdfr_skeleton_check(floats, params, 0.1, 2, n_points=3)[0] in (True, False)
+    with pytest.raises(ValidationError, match="increases from k=1 to k=2"):
+        sdfr_skeleton_check(TailSequence.from_values(u), params, 0.1, 2, n_points=3)
+
+
 def test_invert_tail_body_and_continuations():
     tail = np.array([1.0, 0.5, 0.25])
     u = np.array([0.6, 0.5, 0.26, 0.9999])
