@@ -242,14 +242,13 @@ def cm_check(dist, values, k, j, tol, format, out):
 
 @cli.command()
 @dist_option
-@tol_option
 @io_options("json")
 @guarded
-def classify(dist, tol, format, out):
+def classify(dist, format, out):
     """Classify the support of a mixing distribution."""
     q = _load_distribution(dist)
     c = classify_support(q)
-    ej = expected_shocks(q, tol)
+    ej = expected_shocks(q)
     doc = {
         "command": "classify",
         "distribution": q.to_json_dict(),

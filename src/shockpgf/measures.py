@@ -4,7 +4,8 @@ A mixing distribution is a probability measure built from point masses plus
 a piecewise-constant density. Scalars are kept as ``fractions.Fraction``
 whenever the caller supplies rational data, so measure arithmetic, moments,
 and polynomial integrals stay exact; floats enter only when the caller uses
-them or when an integrand has no rational antiderivative.
+them or when an integral has no rational value (logarithms, exponentials,
+and the p.g.f. kernel, which alone needs the adaptive quadrature below).
 """
 
 from __future__ import annotations
@@ -235,115 +236,6 @@ def mix(components: Sequence[tuple[Num, MixingDistribution]]) -> MixingDistribut
     return MixingDistribution(atoms, tuple(segments))
 
 
-_KINDS = ("pgf_kernel", "power_of_a", "reciprocal", "identity", "exp_decay", "custom")
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """One of the integrand families understood by :func:`integrate`.
-
-    Build instances through the factory functions below; they validate the
-    parameter domains.
-    """
-
-    kind: str
-    param: Num | None = None
-    func: Callable[[float], float] | None = None
-
-    def evaluate(self, y: Num) -> Num:
-        """Pointwise value, exact when both y and the parameter are exact."""
-        if isinstance(y, int):
-            y = Fraction(y)
-        if self.kind == "pgf_kernel":
-            z = self.param
-            if y == 0:
-                return Fraction(0) if is_exact(z) and is_exact(y) else 0.0
-            return z * y / (1 - z + z * y)
-        if self.kind == "power_of_a":
-            return (1 - y) ** self.param
-        if self.kind == "reciprocal":
-            if y == 0:
-                raise ValidationError("reciprocal integrand evaluated at 0")
-            return (Fraction(1) if is_exact(y) else 1.0) / y
-        if self.kind == "identity":
-            return y
-        if self.kind == "exp_decay":
-            if self.param == 0:
-                return Fraction(1) if is_exact(y) else 1.0
-            return math.exp(-float(self.param) * float(y))
-        return self.func(float(y))
-
-    def segment_primitive(self, lo: Num, hi: Num) -> Num | None:
-        """Integral over [lo, hi) against unit density, None if no closed form."""
-        if self.kind == "identity":
-            return (hi * hi - lo * lo) / 2
-        if self.kind == "power_of_a":
-            k = self.param
-            return ((1 - lo) ** (k + 1) - (1 - hi) ** (k + 1)) / (k + 1)
-        if self.kind == "exp_decay":
-            if self.param == 0:
-                return hi - lo
-            t = float(self.param)
-            return (math.exp(-t * float(lo)) - math.exp(-t * float(hi))) / t
-        return None
-
-    def float_callable(self) -> Callable[[float], float]:
-        if self.kind == "pgf_kernel":
-            z = float(self.param)
-            return lambda y: 0.0 if y == 0 else z * y / (1 - z + z * y)
-        if self.kind == "power_of_a":
-            k = self.param
-            return lambda y: (1.0 - y) ** k
-        if self.kind == "reciprocal":
-            return lambda y: 1.0 / y
-        if self.kind == "identity":
-            return lambda y: y
-        if self.kind == "exp_decay":
-            t = float(self.param)
-            return lambda y: math.exp(-t * y)
-        return self.func
-
-
-def pgf_kernel(z) -> IntegrandSpec:
-    """y -> z*y / (1 - z + z*y) for a fixed z in (0, 1)."""
-    z = parse_number(z)
-    if not 0 < z < 1:
-        raise ValidationError(f"pgf kernel argument z={z} outside (0, 1)")
-    return IntegrandSpec("pgf_kernel", z)
-
-
-def power_of_a(k: int) -> IntegrandSpec:
-    """y -> (1 - y)**k, the k-th resistance moment integrand."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValidationError(f"power order {k!r} must be a non-negative integer")
-    return IntegrandSpec("power_of_a", k)
-
-
-def reciprocal() -> IntegrandSpec:
-    """y -> 1/y; integrating it against a density positive at 0 diverges."""
-    return IntegrandSpec("reciprocal")
-
-
-def identity() -> IntegrandSpec:
-    """y -> y."""
-    return IntegrandSpec("identity")
-
-
-def exp_decay(t) -> IntegrandSpec:
-    """y -> exp(-t*y) for a fixed t >= 0."""
-    t = parse_number(t)
-    if t < 0:
-        raise ValidationError(f"exponential decay rate t={t} is negative")
-    return IntegrandSpec("exp_decay", t)
-
-
-def custom(f: Callable[[float], float]) -> IntegrandSpec:
-    """Arbitrary tabulated integrand; always integrated by quadrature."""
-    if not callable(f):
-        raise ValidationError("custom integrand must be callable")
-    return IntegrandSpec("custom", None, f)
-
-
 _NODES, _WEIGHTS = (tuple(float(v) for v in arr) for arr in np.polynomial.legendre.leggauss(15))
 _MAX_DEPTH = 48
 
@@ -382,37 +274,21 @@ def quadrature(g: Callable[[float], float], lo, hi, tol: float) -> float:
     return _refine(g, a, b, _panel(g, a, b), tol, 0)
 
 
-def integrate(q: MixingDistribution, f: IntegrandSpec, tol: float = 1e-10,
-              force_quadrature: bool = False) -> Num:
-    """Integrate an integrand spec against a mixing distribution.
+def integrate(q: MixingDistribution, at_atom: Callable[[Num], Num],
+              over_segment: Callable[[Num, Num, Num], Num]) -> Num:
+    """Sum an integral against q: atoms first, then live segments in order.
 
-    Atom contributions are summed term by term. Density segments use the
-    closed-form antiderivative when the kind has one (and quadrature is not
-    forced), otherwise adaptive quadrature with the absolute error budget
-    split across segments. Returns a Fraction whenever every contribution
-    stays rational, and math.inf for the one non-integrable case: the
-    reciprocal integrand against a density positive at the origin.
+    Atom y contributes ``p * at_atom(y)``; a segment with positive density
+    contributes ``over_segment(lo, hi, density)`` as a whole. Int scalars
+    arrive as Fraction, so integer data integrates exactly, and the fixed
+    summation order keeps float results reproducible bit for bit.
     """
-    if not isinstance(q, MixingDistribution):
-        raise ValidationError("q must be a MixingDistribution")
-    if not isinstance(f, IntegrandSpec) or f.kind not in _KINDS:
-        raise ValidationError("f must be an IntegrandSpec")
-    if not tol > 0:
-        raise ValidationError(f"tol={tol} must be positive")
-    if f.kind == "reciprocal":
-        for s in q.segments:
-            if s.lo == 0 and s.density > 0:
-                return math.inf
-    live = [s for s in q.segments if s.density > 0]
-    seg_tol = tol / max(1, len(live))
     total: Num = 0
     for a in q.atoms:
-        total += a.p * f.evaluate(a.y)
-    for s in live:
-        part = None if force_quadrature else f.segment_primitive(s.lo, s.hi)
-        if part is None:
-            part = quadrature(f.float_callable(), s.lo, s.hi, seg_tol / float(s.density))
-        total += s.density * part
+        total += a.p * at_atom(parse_number(a.y))
+    for s in q.segments:
+        if s.density > 0:
+            total += over_segment(parse_number(s.lo), parse_number(s.hi), s.density)
     return total
 
 

@@ -26,8 +26,7 @@ from .measures import (
     is_exact,
     jsonable,
     parse_number,
-    pgf_kernel,
-    power_of_a,
+    quadrature,
     render,
 )
 
@@ -52,12 +51,30 @@ def kernel(y, z) -> Num:
 def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
     """Candidate p.g.f. value phi(z): the kernel integrated against q.
 
-    Float results are clamped to [0, 1]; exact results are returned as is.
+    Atoms are summed exactly for exact z. Each segment with positive
+    density is integrated by adaptive quadrature, with the absolute budget
+    tol split evenly across those segments. Float results are clamped to
+    [0, 1]; exact results are returned as is.
+
+    The kernel does have a closed form on [lo, hi), namely
+    (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with c = 1-z, but it cancels
+    as z -> 0 (relative error 1e-11 at z = 1e-6), and on Q = 1/4 at 1/2
+    plus density 1 on [0, 3/4) it moves phi by up to 7e-15 at z = 0.1, 1/3
+    and 0.9. Quadrature stays so that published values do not change.
     """
     z = parse_number(z)
     if not 0 < z < 1:
         raise ValidationError(f"evaluation point z={z} outside (0, 1)")
-    val = integrate(q, pgf_kernel(z), tol)
+    if not tol > 0:
+        raise ValidationError(f"tol={tol} must be positive")
+    zf = float(z)
+    seg_tol = tol / max(1, sum(s.density > 0 for s in q.segments))
+
+    def g(y: float) -> float:
+        return zf * y / (1 - zf + zf * y)
+
+    val = integrate(q, lambda y: z * y / (1 - z + z * y),
+                    lambda lo, hi, d: d * quadrature(g, lo, hi, seg_tol / float(d)))
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val
@@ -194,8 +211,10 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
         ((k+1)*B * sum_atoms w*a**k + sum_segments w*(a_lo**(k+1) - a_hi**(k+1)))
         / (M * (k+1) * B**(k+1)),
 
-    normalised once. A q with any float scalar integrates each entry
-    through ``integrate(q, power_of_a(k))`` in float arithmetic instead.
+    normalised once. A q with any float scalar sums each entry in float
+    arithmetic instead, from the per-entry powers (1 - y)**k on atoms and
+    ((1 - lo)**(k+1) - (1 - hi)**(k+1)) / (k+1) on segments; running float
+    powers would round differently and change published tails.
 
     The moment formula is applied to whatever support q has; use
     ``tail_violation`` or the analysis helpers to decide whether the result
@@ -204,7 +223,10 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise ValidationError(f"truncation order {K!r} must be a non-negative integer")
     if not q.exact:
-        return TailSequence.from_values(integrate(q, power_of_a(k)) for k in range(K + 1))
+        return TailSequence.from_values(
+            integrate(q, lambda y: (1 - y) ** k,
+                      lambda lo, hi, d: d * (((1 - lo) ** (k + 1) - (1 - hi) ** (k + 1)) / (k + 1)))
+            for k in range(K + 1))
     segments = [s for s in q.segments if s.density > 0]
     B = math.lcm(*(a.y.denominator for a in q.atoms),
                  *(x.denominator for s in segments for x in (s.lo, s.hi)))

@@ -19,13 +19,11 @@ from .errors import ValidationError
 from .measures import (
     MixingDistribution,
     Num,
-    identity,
     integrate,
     is_exact,
     jsonable,
     mass_on,
     parse_number,
-    reciprocal,
     render,
 )
 from .pgf_core import TailSequence, pgf_eval, tail_violation
@@ -177,9 +175,18 @@ def classify_support(q: MixingDistribution) -> SupportClassification:
     return SupportClassification(verdict, m01, m12, m2)
 
 
-def expected_shocks(q: MixingDistribution, tol: float = 1e-10) -> Num:
-    """Mean count E[1/Y] under q, math.inf when the integral diverges."""
-    return integrate(q, reciprocal(), tol)
+def expected_shocks(q: MixingDistribution) -> Num:
+    """Mean count E[1/Y] under q, math.inf when the integral diverges.
+
+    Atoms give 1/y, exact for exact y. A segment on [lo, hi) with lo > 0
+    gives density * log(hi/lo), evaluated as log1p((hi-lo)/lo) so that a
+    narrow segment keeps its relative accuracy; a segment with positive
+    density starting at 0 makes the integral diverge.
+    """
+    if any(s.lo == 0 and s.density > 0 for s in q.segments):
+        return math.inf
+    return integrate(q, lambda y: 1 / y,
+                     lambda lo, hi, d: d * math.log1p((hi - lo) / lo))
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,8 @@ def pgf_bounds(q: MixingDistribution, z, tol: float = 1e-10) -> PgfBounds:
     z = parse_number(z)
     if not 0 < z < 1:
         raise ValidationError(f"evaluation point z={z} outside (0, 1)")
-    mean_y = integrate(q, identity(), tol)
-    mean_shocks = expected_shocks(q, tol)
+    mean_y = integrate(q, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
+    mean_shocks = expected_shocks(q)
     phi = pgf_eval(q, z, tol)
     upper = z * mean_y / (1 - z + z * mean_y)
     lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)

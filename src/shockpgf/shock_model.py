@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .measures import (
     MixingDistribution,
     Num,
     Segment,
-    exp_decay,
     integrate,
     is_exact,
     mass_on,
@@ -141,12 +141,23 @@ def rate_mixture(q: MixingDistribution, lam) -> MixingDistribution:
     return MixingDistribution(atoms, segments)
 
 
-def exp_mixture_survival(g: MixingDistribution, t, tol: float = 1e-10) -> Num:
-    """Survival of an exponential mixture with random rate drawn from g."""
+def exp_mixture_survival(g: MixingDistribution, t) -> Num:
+    """Survival E[exp(-t*R)] of an exponential mixture with random rate R ~ g.
+
+    Exact at t = 0 for exact g; otherwise atoms give exp(-t*y) and a
+    segment [lo, hi) gives (exp(-t*lo) - exp(-t*hi)) / t per unit density.
+    """
     t = parse_number(t)
     if t < 0:
         raise ValidationError(f"time t={t} must be non-negative")
-    val = integrate(g, exp_decay(t), tol)
+    if t == 0:
+        val = integrate(g, lambda y: Fraction(1) if is_exact(y) else 1.0,
+                        lambda lo, hi, d: d * (hi - lo))
+    else:
+        tf = float(t)
+        val = integrate(g, lambda y: math.exp(-tf * float(y)),
+                        lambda lo, hi, d: d * ((math.exp(-tf * float(lo))
+                                                - math.exp(-tf * float(hi))) / tf))
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val

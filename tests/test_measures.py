@@ -1,4 +1,4 @@
-"""Measure construction, integration, and serialization."""
+"""Measure construction, the integrals against a law, and serialization."""
 
 import json
 import math
@@ -12,19 +12,17 @@ from shockpgf import (
     MixingDistribution,
     Segment,
     ValidationError,
-    custom,
-    exp_decay,
-    identity,
-    integrate,
+    exp_mixture_survival,
+    expected_shocks,
     is_exact,
     mass_on,
     mix,
     parse_number,
-    pgf_kernel,
+    pgf_bounds,
+    pgf_eval,
     point_mass,
-    power_of_a,
     quadrature,
-    reciprocal,
+    tail_sequence,
     uniform_density,
 )
 from shockpgf.families import random_unit_support
@@ -101,71 +99,71 @@ def test_counterexample_structure():
 def test_power_zero_is_total_mass():
     for q in (CE, point_mass(1), uniform_density(0, 1),
               MixingDistribution(atoms=(Atom(0.3, 0.25), Atom(1.2, 0.75)))):
-        v = integrate(q, power_of_a(0))
+        v = tail_sequence(q, 0).values[0]
         assert abs(v - 1) <= 1e-12
         if q.exact:
             assert v == 1
 
 
 def test_exact_moments():
-    assert integrate(point_mass(1), identity()) == 1
-    assert integrate(uniform_density(0, 1), identity()) == F(1, 2)
-    assert integrate(CE, identity()) == F(37, 42)
-    assert integrate(CE, power_of_a(1)) == F(5, 42)
-    assert integrate(CE, power_of_a(2)) == F(17, 147)
+    assert pgf_bounds(point_mass(1), "1/2").mean_y == 1
+    assert pgf_bounds(uniform_density(0, 1), "1/2").mean_y == F(1, 2)
+    assert pgf_bounds(CE, "1/2").mean_y == F(37, 42)
+    assert tail_sequence(CE, 2).values[1:] == (F(5, 42), F(17, 147))
+
+
+def test_int_built_law_has_exact_mean():
+    # ints are exact data: (hi*hi - lo*lo)/2 must not fall into float division
+    b = pgf_bounds(MixingDistribution(segments=(Segment(0, 1, 1),)), "1/2")
+    assert b.mean_y == F(1, 2) and isinstance(b.mean_y, F)
+    assert b.upper == F(1, 3) and isinstance(b.upper, F)
 
 
 def test_reciprocal_divergence_declared():
-    assert integrate(CE, reciprocal()) == math.inf
-    assert integrate(uniform_density(0, 1), reciprocal()) == math.inf
+    assert expected_shocks(CE) == math.inf
+    assert expected_shocks(uniform_density(0, 1)) == math.inf
     # away from the origin the integral is finite and exact for atoms
-    assert integrate(point_mass("1/2"), reciprocal()) == 2
-    v = integrate(uniform_density("1/2", 1), reciprocal())
-    assert abs(v - 2 * math.log(2)) < 1e-10
+    assert expected_shocks(point_mass("1/2")) == 2
+    v = expected_shocks(uniform_density("1/2", 1))
+    assert abs(v - 2 * math.log(2)) < 1e-15
 
 
 def test_exp_decay_closed_form():
-    assert abs(integrate(point_mass("1/2"), exp_decay(3)) - math.exp(-1.5)) < 1e-14
-    v = integrate(uniform_density(0, 1), exp_decay(2.0))
+    assert abs(exp_mixture_survival(point_mass("1/2"), 3) - math.exp(-1.5)) < 1e-14
+    v = exp_mixture_survival(uniform_density(0, 1), 2.0)
     assert abs(v - (1 - math.exp(-2)) / 2) < 1e-12
-    assert integrate(uniform_density(0, 1), exp_decay(0)) == 1
+    assert exp_mixture_survival(uniform_density(0, 1), 0) == 1
 
 
-@pytest.mark.parametrize("spec", [power_of_a(3), identity(), exp_decay(0.7)])
-def test_closed_form_matches_forced_quadrature(spec):
-    a = integrate(CE, spec, tol=1e-11)
-    b = integrate(CE, spec, tol=1e-11, force_quadrature=True)
-    assert abs(float(a) - b) <= 1e-10
-
-
-@pytest.mark.parametrize("spec", [power_of_a(2), identity(), exp_decay(1.5), pgf_kernel("1/3")])
+@pytest.mark.parametrize("spec", [lambda q: tail_sequence(q, 4).values[2],
+                                  lambda q: pgf_bounds(q, "1/2").mean_y,
+                                  lambda q: exp_mixture_survival(q, "3/2"),
+                                  lambda q: pgf_eval(q, "1/3", tol=1e-13)],
+                         ids=[f"spec{i}" for i in range(4)])
 @pytest.mark.parametrize("cut", [F(1, 3), F(9, 10)])
 def test_segment_split_invariance(spec, cut):
     whole = uniform_density(0, 1)
     split = MixingDistribution(
         segments=(Segment(F(0), cut, F(1)), Segment(cut, F(1), F(1)))
     )
-    a = integrate(whole, spec, tol=1e-13)
-    b = integrate(split, spec, tol=1e-13)
+    a = spec(whole)
+    b = spec(split)
+    if is_exact(a):
+        assert a == b
     assert abs(float(a) - float(b)) <= 1e-12
 
 
-def test_custom_integrand_quadrature():
-    v = integrate(uniform_density(0, 1), custom(lambda y: y * y), tol=1e-12)
-    assert abs(v - 1 / 3) < 1e-11
-
-
 def test_quadrature_tolerance_validation():
+    with pytest.raises(ValidationError, match="tol=0 must be positive"):
+        pgf_eval(CE, "1/2", tol=0)
     with pytest.raises(ValidationError):
-        integrate(CE, identity(), tol=0)
+        pgf_eval(point_mass("1/2"), "1/2", tol=-1)
     with pytest.raises(ValidationError):
         quadrature(lambda y: y, 0, 1, -1)
     with pytest.raises(ValidationError):
-        power_of_a(-1)
+        pgf_eval(CE, 1)
     with pytest.raises(ValidationError):
-        pgf_kernel(1)
-    with pytest.raises(ValidationError):
-        exp_decay(-2)
+        exp_mixture_survival(CE, -2)
 
 
 def test_mass_on_boundaries():
