@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .errors import NumericError, ValidationError
-from .measures import MixingDistribution, jsonable, parse_number, render
+from .measures import MixingDistribution, csv_text, jsonable, parse_number
 from .pgf_core import (
     counterexample_Q,
     counterexample_params,
@@ -118,11 +118,9 @@ def _write(out: str, text: str) -> None:
             fh.write(text)
 
 
-def _emit(out: str, fmt: str, doc: dict, csv_text: str) -> None:
-    if fmt == "json":
-        _write(out, json.dumps(doc, indent=2) + "\n")
-    else:
-        _write(out, csv_text)
+def _emit(out: str, fmt: str, doc, csv) -> None:
+    """Write the requested format; ``doc`` and ``csv`` are thunks and only that one runs."""
+    _write(out, json.dumps(doc(), indent=2) + "\n" if fmt == "json" else csv())
 
 
 def io_options(default_format: str):
@@ -168,14 +166,11 @@ def pgf(dist, z, tol, format, out):
     """Evaluate the candidate p.g.f. on a grid."""
     q = _load_distribution(dist)
     rows = [(pt, pgf_eval(q, pt, tol)) for pt in _parse_grid(z, "z")]
-    doc = {
+    _emit(out, format, lambda: {
         "command": "pgf",
         "distribution": q.to_json_dict(),
-        "rows": [{"z": jsonable(parse_number(pt)), "phi": jsonable(v), "decimal": float(v)}
-                 for pt, v in rows],
-    }
-    csv_text = "z,phi\n" + "".join(f"{float(pt)!r},{float(v)!r}\n" for pt, v in rows)
-    _emit(out, format, doc, csv_text)
+        "rows": [{"z": jsonable(pt), "phi": jsonable(v), "decimal": float(v)} for pt, v in rows],
+    }, lambda: csv_text(("z", "phi"), ((float(pt), float(v)) for pt, v in rows)))
 
 
 @cli.command()
@@ -189,14 +184,13 @@ def tail(dist, k, format, out):
     q = _load_distribution(dist)
     t = tail_sequence(q, k)
     valid, reason = tail_validity(t.values)
-    doc = {
+    _emit(out, format, lambda: {
         "command": "tail",
         "distribution": q.to_json_dict(),
         "valid": valid,
         "invalid_reason": reason,
         "tail": t.to_json_dict(),
-    }
-    _emit(out, format, doc, t.to_csv())
+    }, t.to_csv)
 
 
 @cli.command("cm-check")
@@ -219,25 +213,24 @@ def cm_check(dist, values, k, j, tol, format, out):
         seq = [parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
         if not seq:
             raise click.UsageError("option --values lists no entries")
-        source = {"source": "values"}
+        q = None
     else:
         q = _load_distribution(dist)
         seq = list(tail_sequence(q, k).values)
-        source = {"source": "dist", "distribution": q.to_json_dict()}
     table = difference_table(seq, min(j, len(seq) - 1))
     if tol is None:
         tol = 0.0 if table.exact else 1e-9 * max(abs(float(v)) for v in seq)
     verdict, first = is_completely_monotone(seq, table.J, tol)
-    doc = {
+    _emit(out, format, lambda: {
         "command": "cm-check",
-        **source,
+        **({"source": "values"} if q is None
+           else {"source": "dist", "distribution": q.to_json_dict()}),
         "J": table.J,
         "tol": tol,
         "completely_monotone": verdict,
         "first_violation": None if first is None else {"j": first[0], "k": first[1]},
         "table": table.to_json_dict(),
-    }
-    _emit(out, format, doc, table.to_csv())
+    }, table.to_csv)
 
 
 @cli.command()
@@ -249,18 +242,13 @@ def classify(dist, format, out):
     q = _load_distribution(dist)
     c = classify_support(q)
     ej = expected_shocks(q)
-    doc = {
+    _emit(out, format, lambda: {
         "command": "classify",
         "distribution": q.to_json_dict(),
         **c.to_json_dict(),
         "expected_shocks": "inf" if ej == math.inf else jsonable(ej),
-    }
-    csv_text = (
-        "verdict,m01,m12,m2,expected_shocks\n"
-        f"{c.verdict},{render(c.m01)},{render(c.m12)},{render(c.m2)},"
-        f"{'inf' if ej == math.inf else render(ej)}\n"
-    )
-    _emit(out, format, doc, csv_text)
+    }, lambda: csv_text(("verdict", "m01", "m12", "m2", "expected_shocks"),
+                        [(c.verdict, c.m01, c.m12, c.m2, ej)]))
 
 
 @cli.command()
@@ -285,7 +273,7 @@ def counterexample(alpha, beta, k, j, format, out):
             mono_fail = n
             break
     second = difference_table(t.values, 2).entries[2] if k >= 2 else ()
-    doc = {
+    _emit(out, format, lambda: {
         "command": "counterexample",
         "alpha": jsonable(p.alpha),
         "beta": jsonable(p.beta),
@@ -302,8 +290,7 @@ def counterexample(alpha, beta, k, j, format, out):
             for i, v in enumerate(second[: min(len(second), 9)])
         ],
         "tail": t.to_json_dict(),
-    }
-    _emit(out, format, doc, t.to_csv())
+    }, t.to_csv)
 
 
 @cli.command("survival")
@@ -325,14 +312,12 @@ def survival_cmd(dist, lam, t, k, series_tol, format, out):
                               time_grid=tuple(grid))
     t_seq = tail_sequence(q, k)
     rows = [(v, survival(t_seq, params, v)) for v in grid]
-    doc = {
+    _emit(out, format, lambda: {
         "command": "survival",
         "distribution": q.to_json_dict(),
         "lam": jsonable(params.lam),
         "rows": [{"t": v, "survival": s} for v, s in rows],
-    }
-    csv_text = "t,survival\n" + "".join(f"{v!r},{s!r}\n" for v, s in rows)
-    _emit(out, format, doc, csv_text)
+    }, lambda: csv_text(("t", "survival"), rows))
 
 
 @cli.command("laplace")
@@ -348,15 +333,12 @@ def laplace_cmd(dist, lam, s, tol, format, out):
     q = _load_distribution(dist)
     lam_v = parse_number(lam)
     rows = [(pt, laplace(q, lam_v, pt, tol)) for pt in _parse_grid(s, "s")]
-    doc = {
+    _emit(out, format, lambda: {
         "command": "laplace",
         "distribution": q.to_json_dict(),
         "lam": jsonable(lam_v),
-        "rows": [{"s": jsonable(parse_number(pt)), "value": jsonable(v), "decimal": float(v)}
-                 for pt, v in rows],
-    }
-    csv_text = "s,value\n" + "".join(f"{float(pt)!r},{float(v)!r}\n" for pt, v in rows)
-    _emit(out, format, doc, csv_text)
+        "rows": [{"s": jsonable(pt), "value": jsonable(v), "decimal": float(v)} for pt, v in rows],
+    }, lambda: csv_text(("s", "value"), ((float(pt), float(v)) for pt, v in rows)))
 
 
 @cli.command()
@@ -375,32 +357,19 @@ def bounds(dist, z, s, lam, tol, format, out):
     q = _load_distribution(dist)
     if (z is None) == (s is None):
         raise click.UsageError("pass exactly one of --z or --s")
-    json_rows = []
-    csv_lines = []
     if z is not None:
-        for pt in _parse_grid(z, "z"):
-            b = pgf_bounds(q, pt, tol)
-            json_rows.append(b.to_json_dict())
-            csv_lines.append(
-                f"{float(b.z)!r},{float(b.lower)!r},{float(b.phi)!r},{float(b.upper)!r}")
-        header = "z,lower,phi,upper"
-        scale = "pgf"
+        results = [pgf_bounds(q, pt, tol) for pt in _parse_grid(z, "z")]
+        scale, header = "pgf", ("z", "lower", "phi", "upper")
     else:
         lam_v = parse_number(lam)
-        for pt in _parse_grid(s, "s"):
-            b = laplace_order_bounds(q, lam_v, pt, tol)
-            json_rows.append(b.to_json_dict())
-            csv_lines.append(
-                f"{float(b.s)!r},{float(b.lower)!r},{float(b.value)!r},{float(b.upper)!r}")
-        header = "s,lower,value,upper"
-        scale = "laplace"
-    doc = {
+        results = [laplace_order_bounds(q, lam_v, pt, tol) for pt in _parse_grid(s, "s")]
+        scale, header = "laplace", ("s", "lower", "value", "upper")
+    _emit(out, format, lambda: {
         "command": "bounds",
         "scale": scale,
         "distribution": q.to_json_dict(),
-        "rows": json_rows,
-    }
-    _emit(out, format, doc, header + "\n" + "".join(line + "\n" for line in csv_lines))
+        "rows": [b.to_json_dict() for b in results],
+    }, lambda: csv_text(header, ([float(getattr(b, col)) for col in header] for b in results)))
 
 
 @cli.command("skeleton")
@@ -423,7 +392,7 @@ def skeleton(dist, lam, delta, j, n_points, k, series_tol, format, out):
     params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol)
     t_seq = tail_sequence(q, k)
     verdict, first = sdfr_skeleton_check(t_seq, params, delta, j, n_points)
-    doc = {
+    _emit(out, format, lambda: {
         "command": "skeleton",
         "distribution": q.to_json_dict(),
         "lam": jsonable(params.lam),
@@ -432,13 +401,8 @@ def skeleton(dist, lam, delta, j, n_points, k, series_tol, format, out):
         "n_points": n_points,
         "completely_monotone": verdict,
         "first_violation": None if first is None else {"j": first[0], "k": first[1]},
-    }
-    csv_text = (
-        "delta,J,n_points,completely_monotone,first_j,first_k\n"
-        f"{delta!r},{j},{n_points},{verdict},"
-        f"{'' if first is None else first[0]},{'' if first is None else first[1]}\n"
-    )
-    _emit(out, format, doc, csv_text)
+    }, lambda: csv_text(("delta", "J", "n_points", "completely_monotone", "first_j", "first_k"),
+                        [(delta, j, n_points, verdict, *(first or (None, None)))]))
 
 
 @cli.command()
@@ -469,9 +433,9 @@ def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, series_tol, format, 
         result = simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
     else:
         result = simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)
-    doc = {"command": "simulate", "mode": mode, "distribution": q.to_json_dict(),
-           **result.to_json_dict()}
-    _emit(out, format, doc, result.to_csv())
+    _emit(out, format, lambda: {"command": "simulate", "mode": mode,
+                                "distribution": q.to_json_dict(), **result.to_json_dict()},
+          result.to_csv)
 
 
 def main() -> None:

@@ -66,6 +66,38 @@ def render(x: Num) -> str:
     return v if isinstance(v, str) else repr(v)
 
 
+def csv_text(header: Sequence[str], rows) -> str:
+    """CSV text of a header and rows, one line each.
+
+    One cell rule: None is an empty cell, str and bool print as they are,
+    and every other value goes through ``render``.
+    """
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return str(v) if isinstance(v, (str, bool)) else render(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
+
+
+def require_int(x, what: str, least: int = 0) -> int:
+    """Refuse anything but an int (bool excluded) of at least ``least`` (0 or 1)."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < least:
+        kind = "positive" if least else "non-negative"
+        raise ValidationError(f"{what} {x!r} must be a {kind} integer")
+    return x
+
+
+def require_positive(x, what: str, hi: Num = math.inf, closed: bool = False) -> Num:
+    """parse_number(x), refused unless 0 < x < hi (x <= hi when closed); nan and inf fail."""
+    v = parse_number(x)
+    if not (0 < v <= hi if closed else 0 < v < hi):
+        raise ValidationError(f"{what}={v} must be positive and finite" if hi == math.inf
+                              else f"{what}={v} outside (0, {hi}{']' if closed else ')'}")
+    return v
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass p at location y."""
@@ -319,8 +351,7 @@ def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) ->
     inside a segment (it is ignored for atoms), so the stream consumption
     depends only on n.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError(f"sample count {n!r} must be a non-negative integer")
+    require_int(n, "sample count")
     n_atoms = len(q.atoms)
     weights = np.array(
         [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments], dtype=float

@@ -22,12 +22,14 @@ from .measures import (
     MixingDistribution,
     Num,
     Segment,
+    csv_text,
     integrate,
     is_exact,
     jsonable,
     parse_number,
     quadrature,
-    render,
+    require_int,
+    require_positive,
 )
 
 
@@ -38,11 +40,9 @@ def kernel(y, z) -> Num:
     saturates at 1; exact when both arguments are exact.
     """
     y = parse_number(y)
-    z = parse_number(z)
     if y < 0:
         raise ValidationError(f"kernel argument y={y} is negative")
-    if not 0 < z <= 1:
-        raise ValidationError(f"kernel argument z={z} outside (0, 1]")
+    z = require_positive(z, "kernel argument z", 1, closed=True)
     if y == 0:
         return Fraction(0) if is_exact(y) and is_exact(z) else 0.0
     return z * y / (1 - z + z * y)
@@ -62,9 +62,7 @@ def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
     plus density 1 on [0, 3/4) it moves phi by up to 7e-15 at z = 0.1, 1/3
     and 0.9. Quadrature stays so that published values do not change.
     """
-    z = parse_number(z)
-    if not 0 < z < 1:
-        raise ValidationError(f"evaluation point z={z} outside (0, 1)")
+    z = require_positive(z, "evaluation point z", 1)
     if not tol > 0:
         raise ValidationError(f"tol={tol} must be positive")
     zf = float(z)
@@ -82,22 +80,8 @@ def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
 
 def resistance_gf(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
     """Generating function of the tail sequence, (1 - phi(z)) / (1 - z)."""
-    z = parse_number(z)
-    if not 0 < z < 1:
-        raise ValidationError(f"evaluation point z={z} outside (0, 1)")
+    z = parse_number(z)  # pgf_eval refuses z outside (0, 1) before 1 - z is used
     return (1 - pgf_eval(q, z, tol)) / (1 - z)
-
-
-def _sequence_entries(values) -> list[dict]:
-    return [
-        {"k": k, "value": jsonable(v), "decimal": float(v)} for k, v in enumerate(values)
-    ]
-
-
-def _sequence_csv(values) -> str:
-    lines = ["k,value,decimal"]
-    lines += [f"{k},{render(v)},{float(v)!r}" for k, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -119,10 +103,13 @@ class TailSequence:
         return len(self.values) - 1
 
     def to_json_dict(self) -> dict:
-        return {"K": self.K, "exact": self.exact, "entries": _sequence_entries(self.values)}
+        entries = [{"k": k, "value": jsonable(v), "decimal": float(v)}
+                   for k, v in enumerate(self.values)]
+        return {"K": self.K, "exact": self.exact, "entries": entries}
 
     def to_csv(self) -> str:
-        return _sequence_csv(self.values)
+        return csv_text(("k", "value", "decimal"),
+                        ((k, v, float(v)) for k, v in enumerate(self.values)))
 
 
 @dataclass(frozen=True)
@@ -147,9 +134,7 @@ class PmfSequence:
             if v < 0:
                 raise ValidationError(f"pmf entry q_{n} = {v} is negative")
         if tail_ratio is not None:
-            tail_ratio = parse_number(tail_ratio)
-            if not 0 < tail_ratio < 1:
-                raise ValidationError(f"tail ratio {tail_ratio} outside (0, 1)")
+            tail_ratio = require_positive(tail_ratio, "tail ratio", 1)
         total = sum(vals)
         if tail_ratio is not None and vals[-1] > 0:
             total = total + vals[-1] * tail_ratio / (1 - tail_ratio)
@@ -164,14 +149,6 @@ class PmfSequence:
     @property
     def N(self) -> int:
         return len(self.values) - 1
-
-    def to_json_dict(self) -> dict:
-        doc = {"N": self.N, "exact": self.exact, "entries": _sequence_entries(self.values)}
-        doc["tail_ratio"] = None if self.tail_ratio is None else jsonable(self.tail_ratio)
-        return doc
-
-    def to_csv(self) -> str:
-        return _sequence_csv(self.values)
 
 
 def tail_violation(values) -> str | None:
@@ -220,8 +197,7 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     ``tail_violation`` or the analysis helpers to decide whether the result
     is a genuine tail sequence.
     """
-    if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValidationError(f"truncation order {K!r} must be a non-negative integer")
+    require_int(K, "truncation order")
     if not q.exact:
         return TailSequence.from_values(
             integrate(q, lambda y: (1 - y) ** k,
@@ -268,11 +244,8 @@ def geometric_pmf(success, K: int = 16) -> PmfSequence:
     continuation, so downstream series against it can be summed in closed
     form.
     """
-    p = parse_number(success)
-    if not 0 < p <= 1:
-        raise ValidationError(f"success chance {p} outside (0, 1]")
-    if not isinstance(K, int) or K < 0:
-        raise ValidationError(f"truncation order {K!r} must be a non-negative integer")
+    p = require_positive(success, "success chance", 1, closed=True)
+    require_int(K, "truncation order")
     r = 1 - p
     vals = [p * r**n for n in range(K + 1)]
     return PmfSequence.from_values(vals, tail_ratio=r if r > 0 else None)
@@ -288,8 +261,7 @@ def lemma22_coefficients(q: PmfSequence, K: int, max_tail_mass: float = 1e-9) ->
     """
     if not isinstance(q, PmfSequence):
         raise ValidationError("q must be a PmfSequence")
-    if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValidationError(f"order {K!r} must be a non-negative integer")
+    require_int(K, "order")
     N = q.N
     x = q.tail_ratio
     if x is None or q.values[-1] == 0:
@@ -328,8 +300,7 @@ class CounterexampleParams:
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
             if not isinstance(v, Fraction):
                 raise ValidationError(f"{name} must be a Fraction, got {type(v).__name__}")
-            if not 0 < v < 1:
-                raise ValidationError(f"{name}={v} outside (0, 1)")
+            require_positive(v, name, 1)
 
     @property
     def admissible(self) -> bool:
@@ -358,14 +329,12 @@ def counterexample_Q(p: CounterexampleParams) -> MixingDistribution:
 
 def counterexample_tail(p: CounterexampleParams, k: int) -> Fraction:
     """Closed-form tail entry ((1 - beta) + (-1)**k * beta * alpha**k) / (k + 1)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValidationError(f"index {k!r} must be a non-negative integer")
+    require_int(k, "index")
     return (1 - p.beta + (-1) ** k * p.beta * p.alpha**k) / (k + 1)
 
 
 def counterexample_tail_sequence(p: CounterexampleParams, K: int) -> TailSequence:
-    if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValidationError(f"truncation order {K!r} must be a non-negative integer")
+    require_int(K, "truncation order")
     return TailSequence.from_values(counterexample_tail(p, k) for k in range(K + 1))
 
 
@@ -386,8 +355,7 @@ def monotonicity_condition(p: CounterexampleParams, n: int) -> MonotonicityCheck
     against 1 - beta; lhs <= rhs is equivalent to the tail step being
     monotone at that odd index.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError(f"index {n!r} must be a non-negative integer")
+    require_int(n, "index")
     lhs = p.beta * p.alpha ** (2 * n + 1) * (2 * n * (1 + p.alpha) + 3 + 2 * p.alpha)
     rhs = 1 - p.beta
     return MonotonicityCheck(n=n, lhs=lhs, rhs=rhs, holds=lhs <= rhs)

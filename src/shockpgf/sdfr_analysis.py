@@ -19,12 +19,14 @@ from .errors import ValidationError
 from .measures import (
     MixingDistribution,
     Num,
+    csv_text,
     integrate,
     is_exact,
     jsonable,
     mass_on,
     parse_number,
-    render,
+    require_int,
+    require_positive,
 )
 from .pgf_core import TailSequence, pgf_eval, tail_violation
 
@@ -59,11 +61,9 @@ class DifferenceTable:
 
     def to_csv(self) -> str:
         width = len(self.entries[0])
-        lines = ["j," + ",".join(f"k={k}" for k in range(width))]
-        for j, row in enumerate(self.entries):
-            cells = [render(v) for v in row] + [""] * (width - len(row))
-            lines.append(f"{j}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(["j", *(f"k={k}" for k in range(width))],
+                        ([j, *row, *[None] * (width - len(row))]
+                         for j, row in enumerate(self.entries)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,8 +75,7 @@ class DifferenceTable:
 
 def _check_order(n: int, J) -> None:
     """Refuse an order J that is not a non-negative int or needs more than n entries."""
-    if not isinstance(J, int) or isinstance(J, bool) or J < 0:
-        raise ValidationError(f"order {J!r} must be a non-negative integer")
+    require_int(J, "order")
     if n < J + 1:
         raise ValidationError(
             f"need at least J+1 = {J + 1} entries to difference {J} times, have {n}"
@@ -227,11 +226,9 @@ def pgf_bounds(q: MixingDistribution, z, tol: float = 1e-10) -> PgfBounds:
     for a point mass at 1.
     """
     z = parse_number(z)
-    if not 0 < z < 1:
-        raise ValidationError(f"evaluation point z={z} outside (0, 1)")
+    phi = pgf_eval(q, z, tol)  # refuses z outside (0, 1)
     mean_y = integrate(q, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
     mean_shocks = expected_shocks(q)
-    phi = pgf_eval(q, z, tol)
     upper = z * mean_y / (1 - z + z * mean_y)
     lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)
     return PgfBounds(z, lower, phi, upper, bool(mean_y <= 1), mean_y, mean_shocks)
@@ -266,11 +263,7 @@ def laplace_order_bounds(q: MixingDistribution, lam, s, tol: float = 1e-10) -> L
     scale; the upper curve is the transform of an exponential time exactly
     when the mean resistance is at most one.
     """
-    lam = parse_number(lam)
-    s = parse_number(s)
-    if lam <= 0:
-        raise ValidationError(f"arrival rate lam={lam} must be positive")
-    if s <= 0:
-        raise ValidationError(f"frequency s={s} must be positive")
+    lam = require_positive(lam, "arrival rate lam")
+    s = require_positive(s, "frequency s")
     b = pgf_bounds(q, lam / (lam + s), tol)
     return LaplaceOrderBounds(s, lam, b.lower, b.phi, b.upper, b.upper_is_geometric)

@@ -15,6 +15,7 @@ mixture helpers expose that equivalence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +28,13 @@ from .measures import (
     MixingDistribution,
     Num,
     Segment,
+    csv_text,
     integrate,
     is_exact,
     mass_on,
     parse_number,
+    require_int,
+    require_positive,
     sample_locations,
 )
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
@@ -54,16 +58,12 @@ class ShockModelParams:
     time_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        lam = parse_number(self.lam)
-        object.__setattr__(self, "lam", lam)
-        if lam <= 0:
-            raise ValidationError(f"arrival rate lam={lam} must be positive")
-        if not 0 < self.series_tol < 1:
-            raise ValidationError(f"series_tol={self.series_tol} outside (0, 1)")
+        object.__setattr__(self, "lam", require_positive(self.lam, "arrival rate lam"))
+        require_positive(self.series_tol, "series_tol", 1)
         grid = tuple(float(t) for t in self.time_grid)
         object.__setattr__(self, "time_grid", grid)
-        if any(t < 0 for t in grid):
-            raise ValidationError("time grid entries must be non-negative")
+        if not all(0 <= t < math.inf for t in grid):
+            raise ValidationError("time grid entries must be non-negative and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
 
@@ -74,10 +74,9 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     Uses the Chernoff bound P(X >= m) <= exp(-mu) * (e*mu/m)**m, valid for
     m > mu, so the returned order is conservative.
     """
-    if mu < 0:
-        raise ValidationError(f"mean mu={mu} must be non-negative")
-    if not 0 < tol < 1:
-        raise ValidationError(f"tol={tol} outside (0, 1)")
+    if not 0 <= mu < math.inf:
+        raise ValidationError(f"mean mu={mu} must be non-negative and finite")
+    require_positive(tol, "tol", 1)
     if mu == 0:
         return 0
     log_tol = math.log(tol)
@@ -94,10 +93,13 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
 
     The series is truncated once the remaining Poisson mass drops below
     params.series_tol; raises if the stored tails do not reach that far.
+    The weights run by the recurrence w_k = w_{k-1} * mu/k from exp(-mu),
+    except where exp(-mu) is subnormal or zero (mu past about 708): there
+    each weight is formed in log space and the terms are summed with fsum.
     """
     t = float(t)
-    if t < 0:
-        raise ValidationError(f"time t={t} must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"time t={t} must be non-negative and finite")
     require_tail(t_seq.values)
     mu = float(params.lam) * t
     if mu == 0:
@@ -108,6 +110,11 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
             f"tail sequence too short: series at t={t} needs order {K}, have {t_seq.K}"
         )
     w = math.exp(-mu)
+    if w < sys.float_info.min:
+        log_mu = math.log(mu)
+        acc = math.fsum(float(t_seq.values[k]) * math.exp(k * log_mu - mu - math.lgamma(k + 1))
+                        for k in range(K + 1))
+        return min(max(acc, 0.0), 1.0)
     acc = 0.0
     for k in range(K + 1):
         if k:
@@ -118,12 +125,8 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
 
 def laplace(q: MixingDistribution, lam, s, tol: float = 1e-10) -> Num:
     """Failure-time transform E[exp(-s*T)], read off the p.g.f. at lam/(lam+s)."""
-    lam = parse_number(lam)
-    s = parse_number(s)
-    if lam <= 0:
-        raise ValidationError(f"arrival rate lam={lam} must be positive")
-    if s <= 0:
-        raise ValidationError(f"frequency s={s} must be positive")
+    lam = require_positive(lam, "arrival rate lam")
+    s = require_positive(s, "frequency s")
     return pgf_eval(q, lam / (lam + s), tol)
 
 
@@ -133,9 +136,7 @@ def rate_mixture(q: MixingDistribution, lam) -> MixingDistribution:
     For q supported in (0, 1] the shock model's failure time is exactly an
     exponential with this random rate.
     """
-    lam = parse_number(lam)
-    if lam <= 0:
-        raise ValidationError(f"arrival rate lam={lam} must be positive")
+    lam = require_positive(lam, "arrival rate lam")
     atoms = tuple(Atom(lam * a.y, a.p) for a in q.atoms)
     segments = tuple(Segment(lam * s.lo, lam * s.hi, s.density / lam) for s in q.segments)
     return MixingDistribution(atoms, segments)
@@ -145,19 +146,21 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
     """Survival E[exp(-t*R)] of an exponential mixture with random rate R ~ g.
 
     Exact at t = 0 for exact g; otherwise atoms give exp(-t*y) and a
-    segment [lo, hi) gives (exp(-t*lo) - exp(-t*hi)) / t per unit density.
+    segment [lo, hi) gives exp(-t*lo) * -expm1(-t*(hi-lo)) / t per unit
+    density, which does not cancel as t -> 0 the way the difference
+    (exp(-t*lo) - exp(-t*hi)) / t does.
     """
     t = parse_number(t)
-    if t < 0:
-        raise ValidationError(f"time t={t} must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"time t={t} must be non-negative and finite")
     if t == 0:
         val = integrate(g, lambda y: Fraction(1) if is_exact(y) else 1.0,
                         lambda lo, hi, d: d * (hi - lo))
     else:
         tf = float(t)
         val = integrate(g, lambda y: math.exp(-tf * float(y)),
-                        lambda lo, hi, d: d * ((math.exp(-tf * float(lo))
-                                                - math.exp(-tf * float(hi))) / tf))
+                        lambda lo, hi, d: d * (math.exp(-tf * float(lo))
+                                               * -math.expm1(-tf * float(hi - lo)) / tf))
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val
@@ -177,12 +180,9 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
     series reads only their float values, so every skeleton value is the
     one the exact tails would give.
     """
-    delta = float(delta)
-    if delta <= 0:
-        raise ValidationError(f"grid step delta={delta} must be positive")
-    if not isinstance(J, int) or isinstance(J, bool) or J < 1:
-        raise ValidationError(f"order J={J!r} must be a positive integer")
-    if n_points < J + 1:
+    delta = float(require_positive(delta, "grid step delta"))
+    require_int(J, "skeleton order", 1)
+    if require_int(n_points, "skeleton length") < J + 1:
         raise ValidationError(f"need n_points >= J+1 = {J + 1}, have {n_points}")
     if t_seq.exact:
         # validate the rationals before rounding: an exact increase can round to equal floats
@@ -237,8 +237,29 @@ def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | Non
     return j
 
 
+class _SimulatedCurve:
+    """Report shared by both simulators: one row per grid point.
+
+    ``_grid`` names the grid column and the field that holds it.
+    """
+
+    _grid: tuple[str, str]
+
+    def _columns_rows(self):
+        column, field = self._grid
+        rows = zip(getattr(self, field), self.empirical, self.std_err, self.analytic)
+        return (column, "empirical", "std_err", "analytic"), rows
+
+    def to_csv(self) -> str:
+        return csv_text(*self._columns_rows())
+
+    def to_json_dict(self) -> dict:
+        columns, rows = self._columns_rows()
+        return {"n": self.n, "seed": self.seed, "rows": [dict(zip(columns, r)) for r in rows]}
+
+
 @dataclass(frozen=True)
-class SimulatedSurvival:
+class SimulatedSurvival(_SimulatedCurve):
     """Empirical shock-model survival on a time grid, with its exact counterpart."""
 
     times: tuple[float, ...]
@@ -247,26 +268,11 @@ class SimulatedSurvival:
     analytic: tuple[float, ...]
     n: int
     seed: int
-
-    def to_csv(self) -> str:
-        lines = ["t,empirical,std_err,analytic"]
-        for t, e, se, a in zip(self.times, self.empirical, self.std_err, self.analytic):
-            lines.append(f"{t!r},{e!r},{se!r},{a!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "rows": [
-                {"t": t, "empirical": e, "std_err": se, "analytic": a}
-                for t, e, se, a in zip(self.times, self.empirical, self.std_err, self.analytic)
-            ],
-        }
+    _grid = ("t", "times")
 
 
 @dataclass(frozen=True)
-class SimulatedPgf:
+class SimulatedPgf(_SimulatedCurve):
     """Empirical generating function of a simulated first-success count."""
 
     z: tuple[float, ...]
@@ -275,22 +281,7 @@ class SimulatedPgf:
     analytic: tuple[float, ...]
     n: int
     seed: int
-
-    def to_csv(self) -> str:
-        lines = ["z,empirical,std_err,analytic"]
-        for z, e, se, a in zip(self.z, self.empirical, self.std_err, self.analytic):
-            lines.append(f"{z!r},{e!r},{se!r},{a!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "rows": [
-                {"z": z, "empirical": e, "std_err": se, "analytic": a}
-                for z, e, se, a in zip(self.z, self.empirical, self.std_err, self.analytic)
-            ],
-        }
+    _grid = ("z", "z")
 
 
 def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: int, seed: int,
@@ -356,12 +347,7 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
     m = mass_on(q, 0, 1, include_hi=True)
     if (q.exact and m != 1) or abs(float(m) - 1.0) > MASS_TOL:
         raise ValidationError(f"support must sit inside (0, 1]; that region holds mass {m}")
-    zs = []
-    for z in z_grid:
-        zv = parse_number(z)
-        if not 0 < zv < 1:
-            raise ValidationError(f"grid point z={zv} outside (0, 1)")
-        zs.append(float(zv))
+    zs = [float(require_positive(z, "grid point z", 1)) for z in z_grid]
     if not zs:
         raise ValidationError("z grid must be non-empty")
     counts = np.empty(n, dtype=np.int64)
@@ -379,7 +365,5 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
 
 
 def _check_sim_args(n, seed) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"replicate count n={n!r} must be a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed={seed!r} must be a non-negative integer")
+    require_int(n, "replicate count", 1)
+    require_int(seed, "seed")

@@ -7,11 +7,19 @@ import pytest
 from click.testing import CliRunner
 
 from shockpgf import (
+    DifferenceTable,
     MixingDistribution,
+    SimulatedPgf,
+    SimulatedSurvival,
+    TailSequence,
     counterexample_Q,
     counterexample_params,
+    pgf_core,
     point_mass,
+    sdfr_analysis,
+    shock_model,
 )
+from shockpgf import cli as cli_module
 from shockpgf.cli import cli
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
@@ -190,6 +198,62 @@ def test_usage_errors_are_exit_2():
     assert "invalid distribution" in err_text(res)
     res = run("counterexample", "--alpha", "7/7", "--beta", "2/3")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("survival", "--t", "nan"),
+    ("survival", "--t", "inf"),
+    ("skeleton", "--delta", "nan"),
+    ("skeleton", "--delta", "inf"),
+    ("simulate", "--t", "nan", "--tail-model", "geometric"),
+    ("simulate", "--t", "1,inf", "--tail-model", "geometric"),
+])
+def test_non_finite_times_are_exit_2(args):
+    res = run(args[0], "--dist", HALF_ATOM, *args[1:])
+    assert res.exit_code == 2
+    assert "finite" in err_text(res)
+
+
+RENDER_COMMANDS = {
+    "pgf": ("pgf", "--dist", HALF_ATOM),
+    "tail": ("tail", "--dist", CE_JSON, "--K", "5"),
+    "cm-check-dist": ("cm-check", "--dist", CE_JSON, "--K", "5", "--J", "2"),
+    "cm-check-values": ("cm-check", "--values", "1,1/2,1/4"),
+    "classify": ("classify", "--dist", CE_JSON),
+    "counterexample": ("counterexample", "--alpha", "1/7", "--beta", "2/3", "--K", "5"),
+    "survival": ("survival", "--dist", HALF_ATOM),
+    "laplace": ("laplace", "--dist", HALF_ATOM),
+    "bounds-z": ("bounds", "--dist", HALF_ATOM, "--z", "1/2"),
+    "bounds-s": ("bounds", "--dist", HALF_ATOM, "--s", "1"),
+    "skeleton": ("skeleton", "--dist", HALF_ATOM, "--n-points", "12"),
+    "simulate-failure": ("simulate", "--dist", HALF_ATOM, "--n", "50"),
+    "simulate-definetti": ("simulate", "--dist", HALF_ATOM, "--mode", "definetti", "--n", "50"),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the renderer of the other format ran")
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_COMMANDS))
+def test_json_request_never_builds_csv(case, monkeypatch):
+    for mod in (cli_module, pgf_core, sdfr_analysis, shock_model):
+        monkeypatch.setattr(mod, "csv_text", _refuse)
+    args = RENDER_COMMANDS[case]
+    res = run(*args, "--format", "json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["command"] == args[0]
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_COMMANDS))
+def test_csv_request_never_builds_json(case, monkeypatch):
+    for cls in (MixingDistribution, TailSequence, DifferenceTable, SimulatedSurvival,
+                SimulatedPgf):
+        monkeypatch.setattr(cls, "to_json_dict", _refuse)
+    monkeypatch.setattr(cli_module, "jsonable", _refuse)
+    res = run(*RENDER_COMMANDS[case], "--format", "csv")
+    assert res.exit_code == 0, res.output
+    assert res.output.count("\n") >= 2
 
 
 def test_out_writes_file(tmp_path):

@@ -126,7 +126,8 @@ def test_exp_mixture_survival_matches_mpmath(t):
         assert abs(_mp(exp_mixture_survival(g, t)) - _survival_ref(g, t)) <= 1e-13, g
 
 
-@pytest.mark.xfail(strict=True, reason="(exp(-t*lo) - exp(-t*hi)) / t cancels as t -> 0")
-def test_exp_mixture_survival_small_t():
-    g = rate_mixture(random_unit_support(random.Random(0)), 2)
-    assert abs(_mp(exp_mixture_survival(g, 1e-6)) - _survival_ref(g, 1e-6)) <= 1e-13
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 1e-3])
+def test_exp_mixture_survival_small_t(t):
+    """The difference exp(-t*lo) - exp(-t*hi) cancels as t -> 0; expm1 does not."""
+    for g in RATE_LAWS:
+        assert abs(_mp(exp_mixture_survival(g, t)) - _survival_ref(g, t)) <= 1e-15, g

@@ -5,23 +5,39 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from shockpgf import (
     Atom,
     MixingDistribution,
     Segment,
+    ShockModelParams,
     ValidationError,
+    counterexample_tail,
+    counterexample_tail_sequence,
+    difference_table,
     exp_mixture_survival,
     expected_shocks,
+    geometric_pmf,
     is_exact,
+    laplace,
+    laplace_order_bounds,
+    lemma22_coefficients,
     mass_on,
     mix,
+    monotonicity_condition,
     parse_number,
     pgf_bounds,
     pgf_eval,
     point_mass,
     quadrature,
+    rate_mixture,
+    resistance_gf,
+    sample_locations,
+    sdfr_skeleton_check,
+    simulate_de_finetti,
+    simulate_failure_times,
     tail_sequence,
     uniform_density,
 )
@@ -226,3 +242,50 @@ def test_from_json_names_offending_field():
             {"segments": [{"lo": 0, "hi": "1/2", "density": 1},
                           {"lo": "1/2", "hi": 1}]}
         )
+
+
+_P = counterexample_params("1/7", "2/3")
+_HALF = point_mass("1/2")
+_PARAMS = ShockModelParams(lam=1, time_grid=(1.0,))
+
+#: every count argument the library takes, as a call with that argument
+COUNT_GUARDS = {
+    "tail_sequence": lambda x: tail_sequence(_HALF, x),
+    "geometric_pmf": lambda x: geometric_pmf("1/2", x),
+    "lemma22_coefficients": lambda x: lemma22_coefficients(geometric_pmf("1/2"), x),
+    "counterexample_tail": lambda x: counterexample_tail(_P, x),
+    "counterexample_tail_sequence": lambda x: counterexample_tail_sequence(_P, x),
+    "monotonicity_condition": lambda x: monotonicity_condition(_P, x),
+    "difference_table": lambda x: difference_table((1, F(1, 2)), x),
+    "skeleton_J": lambda x: sdfr_skeleton_check(tail_sequence(_HALF, 80), _PARAMS, 0.5, x),
+    "skeleton_n_points": lambda x: sdfr_skeleton_check(tail_sequence(_HALF, 80), _PARAMS,
+                                                       0.5, 2, x),
+    "simulate_n": lambda x: simulate_failure_times(_HALF, _PARAMS, x, 0, K=80),
+    "simulate_seed": lambda x: simulate_failure_times(_HALF, _PARAMS, 10, x, K=80),
+    "sample_locations": lambda x: sample_locations(_HALF, x, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "3"])
+@pytest.mark.parametrize("site", sorted(COUNT_GUARDS))
+def test_count_guards_refuse_non_integers(site, bad):
+    """One shared check; a bool is no count, for geometric_pmf and sampling too."""
+    with pytest.raises(ValidationError, match="integer"):
+        COUNT_GUARDS[site](bad)
+
+
+def test_open_interval_guards():
+    q = point_mass("1/2")
+    for bad in (0, -1, 1, 2, math.nan, math.inf):
+        for call in (lambda z: pgf_eval(q, z), lambda z: resistance_gf(q, z),
+                     lambda z: pgf_bounds(q, z), lambda z: simulate_de_finetti(q, [z], 10, 0)):
+            with pytest.raises(ValidationError, match=r"outside \(0, 1\)"):
+                call(bad)
+    for bad in (0, -1, math.nan, math.inf):
+        for call in (lambda x: laplace(q, x, 1), lambda x: laplace_order_bounds(q, x, 1),
+                     lambda x: rate_mixture(q, x), lambda x: ShockModelParams(lam=x)):
+            with pytest.raises(ValidationError, match="arrival rate lam=.* must be positive"):
+                call(bad)
+        for call in (lambda x: laplace(q, 1, x), lambda x: laplace_order_bounds(q, 1, x)):
+            with pytest.raises(ValidationError, match="frequency s=.* must be positive"):
+                call(bad)

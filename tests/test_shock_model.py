@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from shockpgf import (
     ValidationError,
     counterexample_Q,
     counterexample_params,
+    counterexample_tail_sequence,
     exp_mixture_survival,
     laplace,
     mix,
@@ -94,6 +96,37 @@ def test_survival_guards():
     bad = TailSequence.from_values((F(1), F(1, 2), F(3, 4)))
     with pytest.raises(ValidationError, match="not a valid tail sequence"):
         survival(bad, params, 1.0)
+
+
+@pytest.mark.parametrize("mu", [740, 750, 800])
+def test_survival_past_poisson_underflow(mu):
+    """exp(-mu) is subnormal at 740 and 0.0 past 745; the series must not be."""
+    t_seq = counterexample_tail_sequence(counterexample_params("1/7", "2/3"), 1100)
+    got = survival(t_seq, ShockModelParams(lam=2), mu / 2)
+    with mpmath.workdps(40):
+        ref = mpmath.fsum(mpmath.mpf(u.numerator) / u.denominator
+                          * mpmath.exp(k * mpmath.log(mu) - mu - mpmath.loggamma(k + 1))
+                          for k, u in enumerate(t_seq.values))
+        assert abs(got - ref) <= 1e-8 * ref
+    assert got > 4e-4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(bad):
+    t_seq = tail_sequence(CE, 10)
+    params = ShockModelParams(lam=1)
+    with pytest.raises(ValidationError, match="finite"):
+        survival(t_seq, params, bad)
+    with pytest.raises(ValidationError, match="finite"):
+        ShockModelParams(lam=1, time_grid=(1.0, bad))
+    with pytest.raises(ValidationError, match="finite"):
+        sdfr_skeleton_check(t_seq, params, bad, 2)
+    with pytest.raises(ValidationError, match="finite"):
+        exp_mixture_survival(point_mass(1), bad)
+    with pytest.raises(ValidationError, match="finite"):
+        poisson_truncation_order(bad, 1e-12)
+    with pytest.raises(ValidationError, match="lam"):
+        ShockModelParams(lam=bad)
 
 
 def test_laplace_reads_off_the_pgf():
