@@ -15,8 +15,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import QuadratureError, ValidationError
 
 Num = int | Fraction | float
@@ -268,7 +266,15 @@ def mix(components: Sequence[tuple[Num, MixingDistribution]]) -> MixingDistribut
     return MixingDistribution(atoms, tuple(segments))
 
 
-_NODES, _WEIGHTS = (tuple(float(v) for v in arr) for arr in np.polynomial.legendre.leggauss(15))
+#: 15-point Gauss-Legendre rule on [-1, 1], the repr of numpy's leggauss(15)
+_NODES = (-0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+          -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+          0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+          0.8482065834104272, 0.9372733924007058, 0.9879925180204854)
+_WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+            0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+            0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+            0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
 _MAX_DEPTH = 48
 
 
@@ -343,31 +349,3 @@ def mass_on(q: MixingDistribution, lo, hi, include_lo: bool = False,
             total += s.density * (b - a)
     return total
 
-
-def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n locations from q using exactly two uniform blocks from rng.
-
-    The first block picks the component by mass, the second places the draw
-    inside a segment (it is ignored for atoms), so the stream consumption
-    depends only on n.
-    """
-    require_int(n, "sample count")
-    n_atoms = len(q.atoms)
-    weights = np.array(
-        [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments], dtype=float
-    )
-    cum = np.cumsum(weights)
-    u = rng.random(n) * cum[-1]
-    v = rng.random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
-    out = np.empty(n, dtype=float)
-    is_atom = idx < n_atoms
-    if n_atoms:
-        atom_y = np.array([float(a.y) for a in q.atoms])
-        out[is_atom] = atom_y[idx[is_atom]]
-    if q.segments:
-        seg_lo = np.array([float(s.lo) for s in q.segments])
-        seg_hi = np.array([float(s.hi) for s in q.segments])
-        si = idx[~is_atom] - n_atoms
-        out[~is_atom] = seg_lo[si] + v[~is_atom] * (seg_hi[si] - seg_lo[si])
-    return out

@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NumericError, ValidationError
 from .measures import (
     Atom,
@@ -35,7 +33,6 @@ from .measures import (
     parse_number,
     require_int,
     require_positive,
-    sample_locations,
 )
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
 from .sdfr_analysis import is_completely_monotone
@@ -72,7 +69,11 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     """Smallest K whose Poisson(mu) mass beyond K is below tol.
 
     Uses the Chernoff bound P(X >= m) <= exp(-mu) * (e*mu/m)**m, valid for
-    m > mu, so the returned order is conservative.
+    m > mu, so the returned order is conservative. The exponent falls
+    strictly in m there, so a doubling search and then a bisection from
+    ceil(mu) find the smallest such K; the bound fails at K - 1. Past mu
+    of about 1e10 the rounded exponent is no longer monotone, and K is one
+    such crossing, within a few of the first.
     """
     if not 0 <= mu < math.inf:
         raise ValidationError(f"mean mu={mu} must be non-negative and finite")
@@ -80,12 +81,22 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     if mu == 0:
         return 0
     log_tol = math.log(tol)
-    k = max(1, math.ceil(mu))
-    while True:
+
+    def bounded(k: int) -> bool:
         m = k + 1
-        if m > mu and (-mu + m - m * math.log(m / mu)) < log_tol:
-            return k
-        k += 1
+        return -mu + m - m * math.log(m / mu) < log_tol
+
+    lo, step = max(1, math.ceil(mu)) - 1, 1
+    while not bounded(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bounded(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
@@ -195,6 +206,7 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
     key = np.array([seed & _KEY_MASK, index & _KEY_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -216,6 +228,7 @@ def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | Non
     model; "none" assigns them the first untabulated index, which is why it
     demands negligible leftover mass.
     """
+    import numpy as np
     K = len(tail) - 1
     j = np.empty(len(u), dtype=np.int64)
     body = u > tail[K]
@@ -235,6 +248,36 @@ def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | Non
     steps = np.ceil(np.log(cond) / math.log(ratio))
     j[rest] = K + np.maximum(steps.astype(np.int64), 1)
     return j
+
+
+def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n locations from q using exactly two uniform blocks from rng.
+
+    The first block picks the component by mass, the second places the draw
+    inside a segment (it is ignored for atoms), so the stream consumption
+    depends only on n.
+    """
+    import numpy as np
+    require_int(n, "sample count")
+    n_atoms = len(q.atoms)
+    weights = np.array(
+        [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments], dtype=float
+    )
+    cum = np.cumsum(weights)
+    u = rng.random(n) * cum[-1]
+    v = rng.random(n)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
+    out = np.empty(n, dtype=float)
+    is_atom = idx < n_atoms
+    if n_atoms:
+        atom_y = np.array([float(a.y) for a in q.atoms])
+        out[is_atom] = atom_y[idx[is_atom]]
+    if q.segments:
+        seg_lo = np.array([float(s.lo) for s in q.segments])
+        seg_hi = np.array([float(s.hi) for s in q.segments])
+        si = idx[~is_atom] - n_atoms
+        out[~is_atom] = seg_lo[si] + v[~is_atom] * (seg_hi[si] - seg_lo[si])
+    return out
 
 
 class _SimulatedCurve:
@@ -299,6 +342,7 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     counter-based stream derived from (seed, block), so the output depends
     only on (q, params, n, seed) and extending n preserves a common prefix.
     """
+    import numpy as np
     _check_sim_args(n, seed)
     if tail_model not in ("none", "geometric", "harmonic"):
         raise ValidationError(f"unknown tail model {tail_model!r}")
@@ -343,6 +387,7 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
     compared with the mixture p.g.f. Block structure and determinism match
     ``simulate_failure_times``.
     """
+    import numpy as np
     _check_sim_args(n, seed)
     m = mass_on(q, 0, 1, include_hi=True)
     if (q.exact and m != 1) or abs(float(m) - 1.0) > MASS_TOL:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockpgf import (
     NumericError,
@@ -31,6 +34,7 @@ from shockpgf import (
     tail_sequence,
     uniform_density,
 )
+from shockpgf.families import random_mid_mass, random_unit_support
 from shockpgf.shock_model import _invert_tail
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
@@ -59,6 +63,51 @@ def test_poisson_truncation_edges():
         poisson_truncation_order(-1.0, 1e-9)
     with pytest.raises(ValidationError):
         poisson_truncation_order(1.0, 2.0)
+
+
+def chernoff_bounded(mu: float, tol: float, k: int) -> bool:
+    m = k + 1
+    return m > mu and -mu + m - m * math.log(m / mu) < math.log(tol)
+
+
+def linear_truncation_order(mu: float, tol: float) -> int:
+    """Reference: walk one step at a time up from ceil(mu) to the first bounded order."""
+    if mu == 0:
+        return 0
+    k = max(1, math.ceil(mu))
+    while not chernoff_bounded(mu, tol, k):
+        k += 1
+    return k
+
+
+def test_truncation_order_matches_linear_walk():
+    rng = random.Random(11)
+    mus = [i / 8 for i in range(1, 400)] + [rng.uniform(0, 1000) for _ in range(600)]
+    mus += [1e-9, 0.999999, 1.0, 1.000001, 708.4, 1e4, 1e5]
+    for mu in mus:
+        for tol in (1e-13, 1e-12, 1e-9, 1e-6, 0.5):
+            assert poisson_truncation_order(mu, tol) == linear_truncation_order(mu, tol), (mu, tol)
+
+
+@pytest.mark.parametrize("mu", [1e8, 1e12])
+def test_truncation_order_is_minimal_at_large_mean(mu):
+    K = poisson_truncation_order(mu, 1e-12)
+    assert chernoff_bounded(mu, 1e-12, K)
+    assert not chernoff_bounded(mu, 1e-12, K - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), mid_mass=st.booleans(), lam=st.sampled_from(["1/2", 1, 2]))
+def test_survival_is_a_survival_function(seed, mid_mass, lam):
+    """In [0, 1] and non-increasing in t, also when the tails are not CM."""
+    q = (random_mid_mass if mid_mass else random_unit_support)(random.Random(seed))
+    params = ShockModelParams(lam=lam)
+    grid = [k / 4 for k in range(41)]
+    t_seq = tail_sequence(q, poisson_truncation_order(float(params.lam) * grid[-1],
+                                                      params.series_tol))
+    vals = [survival(t_seq, params, t) for t in grid]
+    assert all(0.0 <= v <= 1.0 for v in vals)
+    assert all(b <= a + 2 * params.series_tol for a, b in zip(vals, vals[1:]))
 
 
 def test_survival_unit_atom_is_pure_exponential():
