@@ -24,6 +24,7 @@ from . import __version__
 from .errors import NumericError, ValidationError
 from .measures import MixingDistribution, csv_text, jsonable, parse_number
 from .pgf_core import (
+    TailSequence,
     counterexample_Q,
     counterexample_params,
     counterexample_tail_sequence,
@@ -183,7 +184,7 @@ def tail(dist, k, format, out):
     """Tabulate the shock-resistance tail sequence."""
     q = _load_distribution(dist)
     t = tail_sequence(q, k)
-    valid, reason = tail_validity(t.values)
+    valid, reason = tail_validity(t)
     _emit(out, format, lambda: {
         "command": "tail",
         "distribution": q.to_json_dict(),
@@ -210,16 +211,16 @@ def cm_check(dist, values, k, j, tol, format, out):
     if values is not None:
         # parse_number keeps decimal strings exact, so hand-typed sequences
         # get the zero-tolerance check by default
-        seq = [parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
-        if not seq:
+        entries = [parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
+        if not entries:
             raise click.UsageError("option --values lists no entries")
-        q = None
+        seq, q = TailSequence.from_values(entries), None
     else:
         q = _load_distribution(dist)
-        seq = list(tail_sequence(q, k).values)
-    table = difference_table(seq, min(j, len(seq) - 1))
+        seq = tail_sequence(q, k)
+    table = difference_table(seq, min(j, seq.K))
     if tol is None:
-        tol = 0.0 if table.exact else 1e-9 * max(abs(float(v)) for v in seq)
+        tol = 0.0 if table.exact else 1e-9 * max(map(abs, seq.floats))
     verdict, first = is_completely_monotone(seq, table.J, tol)
     _emit(out, format, lambda: {
         "command": "cm-check",
@@ -265,14 +266,14 @@ def counterexample(alpha, beta, k, j, format, out):
     p = counterexample_params(alpha, beta)
     q = counterexample_Q(p)
     t = counterexample_tail_sequence(p, k)
-    valid, reason = tail_validity(t.values)
-    verdict, first = is_completely_monotone(t.values, min(j, k), 0)
+    valid, reason = tail_validity(t)
+    verdict, first = is_completely_monotone(t, min(j, k), 0)
     mono_fail = None
     for n in range(k // 2 + 1):
         if not monotonicity_condition(p, n).holds:
             mono_fail = n
             break
-    second = difference_table(t.values, 2).entries[2] if k >= 2 else ()
+    second = difference_table(t, 2).entries[2] if k >= 2 else ()
     _emit(out, format, lambda: {
         "command": "counterexample",
         "alpha": jsonable(p.alpha),

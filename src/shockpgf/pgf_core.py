@@ -13,8 +13,10 @@ under Q, and everything here is computed exactly for rational Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import pairwise
 
 from .errors import ValidationError
 from .measures import (
@@ -86,10 +88,17 @@ def resistance_gf(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
 
 @dataclass(frozen=True)
 class TailSequence:
-    """Tails u_k = P(count > k), k = 0..K; exact means every entry is rational."""
+    """Tails u_k = P(count > k), k = 0..K; exact means every entry is rational.
+
+    ``violation``, ``floats`` and ``integers`` are computed once, on first
+    use, and kept: the table is frozen and holds immutable numbers. Neither
+    they nor ``_scaled`` enter equality, hashing or repr.
+    """
 
     values: tuple[Num, ...]
     exact: bool
+    # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
+    _scaled: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_values(cls, values) -> "TailSequence":
@@ -101,6 +110,42 @@ class TailSequence:
     @property
     def K(self) -> int:
         return len(self.values) - 1
+
+    @cached_property
+    def violation(self) -> str | None:
+        """``tail_violation`` of the entries, scanned only when the gcd-free
+        test on ``_scaled``, n_0 == M*B, n_k >= 0, n_{k+1}*(k+1) <= n_k*B*(k+2), fails."""
+        if self._scaled is not None:
+            n, M, B = self._scaled
+            if n[0] == M * B and all(x >= 0 for x in n) and all(
+                    b * (k + 1) <= a * B * (k + 2) for k, (a, b) in enumerate(pairwise(n))):
+                return None
+        return tail_violation(self.values)
+
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The entries as floats; a table of floats is its own copy."""
+        if all(isinstance(v, float) for v in self.values):
+            return self.values
+        return tuple(float(v) for v in self.values)
+
+    @cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        """Exact entries as integers N_k over one common denominator D: with
+        ``_scaled``, M*lcm(1..K+1)*B**(K+1), needing no big division and not
+        always the least; otherwise the lcm of the denominators."""
+        if not self.exact:
+            raise ValidationError("only an exact tail sequence has an integer form")
+        if self._scaled is None:
+            D = math.lcm(*(v.denominator for v in self.values))
+            return tuple(v.numerator * (D // v.denominator) for v in self.values), D
+        n, M, B = self._scaled
+        L = math.lcm(*range(1, len(n) + 1))
+        N, B_pow = [0] * len(n), 1
+        for k in reversed(range(len(n))):
+            N[k] = n[k] * (L // (k + 1)) * B_pow
+            B_pow *= B
+        return tuple(N), M * L * B_pow
 
     def to_json_dict(self) -> dict:
         entries = [{"k": k, "value": jsonable(v), "decimal": float(v)}
@@ -156,6 +201,8 @@ def tail_violation(values) -> str | None:
 
     A valid tail starts at 1, never increases, and stays non-negative.
     """
+    if isinstance(values, TailSequence):
+        return values.violation
     vals = tuple(values)
     if not vals:
         return "sequence is empty"
@@ -188,7 +235,8 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
         ((k+1)*B * sum_atoms w*a**k + sum_segments w*(a_lo**(k+1) - a_hi**(k+1)))
         / (M * (k+1) * B**(k+1)),
 
-    normalised once. A q with any float scalar sums each entry in float
+    normalised once; the table keeps the n_k, M and B for its ``violation``
+    and ``integers``. A q with any float scalar sums each entry in float
     arithmetic instead, from the per-entry powers (1 - y)**k on atoms and
     ((1 - lo)**(k+1) - (1 - hi)**(k+1)) / (k+1) on segments; running float
     powers would round differently and change published tails.
@@ -218,20 +266,21 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     atom_pow = [1] * len(atom_a)
     seg_pow = list(seg_a)
     B_pow = B
-    values = []
+    nums, values = [], []
     for k in range(K + 1):
         n = (k + 1) * B * sum(w * x for w, x in zip(atom_w, atom_pow))
         n += sum(w * (lo - hi) for w, (lo, hi) in zip(seg_w, seg_pow))
+        nums.append(n)
         values.append(Fraction(n, M * (k + 1) * B_pow))
         atom_pow = [x * a for x, a in zip(atom_pow, atom_a)]
         seg_pow = [(lo * a_lo, hi * a_hi) for (lo, hi), (a_lo, a_hi) in zip(seg_pow, seg_a)]
         B_pow *= B
-    return TailSequence.from_values(values)
+    return TailSequence(tuple(values), True, (tuple(nums), M, B))
 
 
 def pmf_from_tail(t: TailSequence) -> PmfSequence:
     """Differences of a valid tail sequence: q_n = u_{n-1} - u_n, q_0 = 1 - u_0."""
-    require_tail(t.values)
+    require_tail(t)
     vals = [1 - t.values[0]]
     vals += [t.values[n - 1] - t.values[n] for n in range(1, len(t.values))]
     return PmfSequence.from_values(vals)
@@ -334,8 +383,8 @@ def counterexample_tail(p: CounterexampleParams, k: int) -> Fraction:
 
 
 def counterexample_tail_sequence(p: CounterexampleParams, K: int) -> TailSequence:
-    require_int(K, "truncation order")
-    return TailSequence.from_values(counterexample_tail(p, k) for k in range(K + 1))
+    """``tail_sequence`` of ``counterexample_Q(p)``; entry k is ``counterexample_tail(p, k)``."""
+    return tail_sequence(counterexample_Q(p), K)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .measures import (
     Num,
     csv_text,
     integrate,
-    is_exact,
     jsonable,
     mass_on,
     parse_number,
@@ -33,12 +32,6 @@ from .pgf_core import TailSequence, pgf_eval, tail_violation
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
 VERDICT_UNIT_SUPPORT = "sdfr_support_in_unit"
 VERDICT_CANDIDATE = "candidate_mass_in_1_2"
-
-
-def _values(u) -> tuple[Num, ...]:
-    if isinstance(u, TailSequence):
-        return u.values
-    return tuple(u)
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,15 @@ class DifferenceTable:
         }
 
 
-def _check_order(n: int, J) -> None:
-    """Refuse an order J that is not a non-negative int or needs more than n entries."""
+def _table(u, J) -> TailSequence:
+    """u as a table; refuse an order J that is not a non-negative int or needs more entries."""
+    vals = u.values if isinstance(u, TailSequence) else tuple(u)
     require_int(J, "order")
-    if n < J + 1:
+    if len(vals) < J + 1:
         raise ValidationError(
-            f"need at least J+1 = {J + 1} entries to difference {J} times, have {n}"
+            f"need at least J+1 = {J + 1} entries to difference {J} times, have {len(vals)}"
         )
+    return u if isinstance(u, TailSequence) else TailSequence.from_values(vals)
 
 
 def _decrement(row: list) -> list:
@@ -88,12 +83,11 @@ def _decrement(row: list) -> list:
 
 def difference_table(u, J: int) -> DifferenceTable:
     """Build rows 0..J of iterated decrements of u."""
-    vals = _values(u)
-    _check_order(len(vals), J)
-    rows = [tuple(vals)]
+    t = _table(u, J)
+    rows = [t.values]
     for _ in range(J):
         rows.append(tuple(_decrement(rows[-1])))
-    return DifferenceTable(tuple(rows), all(is_exact(v) for v in vals))
+    return DifferenceTable(tuple(rows), t.exact)
 
 
 def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, int] | None]:
@@ -105,24 +99,22 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
     j+1 exists, and the scan stops at the first violation, so a sequence
     that fails early costs only the rows up to its failure.
 
-    All-exact input (ints and Fractions) is scaled once to integers over
-    the common denominator L = lcm(denominators), so the rows are plain
-    integer subtractions, and a cell v fails when the integer v lies below
-    ceil(-tol*L), which is v/L < -tol in exact arithmetic. Any other input
-    is differenced in its own arithmetic, as ``difference_table`` does.
-    Use tol=0 for exact input; for float input pass a small tolerance to
-    absorb cancellation noise in the higher rows.
+    All-exact input (ints and Fractions) is differenced as the integers N_k
+    over one common denominator D of ``TailSequence.integers``, which a
+    table computes once and keeps, so a cell v fails when the integer v
+    lies below ceil(-tol*D), which is v/D < -tol in exact arithmetic. Any
+    other input is differenced in its own arithmetic, as ``difference_table``
+    does. Use tol=0 for exact input; for float input pass a small tolerance
+    to absorb cancellation noise in the higher rows.
     """
     if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
-    vals = _values(u)
-    _check_order(len(vals), J)
-    if all(is_exact(v) for v in vals):
-        L = math.lcm(*(v.denominator for v in vals))
-        row = [v.numerator * (L // v.denominator) for v in vals]
-        limit = -tol if tol == math.inf else math.ceil(-Fraction(tol) * L)
+    t = _table(u, J)
+    if t.exact:
+        row, D = t.integers
+        limit = -tol if tol == math.inf else math.ceil(-Fraction(tol) * D)
     else:
-        row, limit = list(vals), -tol
+        row, limit = t.values, -tol
     for j in range(J + 1):
         if j:
             row = _decrement(row)
@@ -133,8 +125,8 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
 
 
 def tail_validity(u) -> tuple[bool, str | None]:
-    """Whether u is a genuine tail sequence of a positive count."""
-    reason = tail_violation(_values(u))
+    """Whether u is a genuine tail sequence of a positive count (see ``tail_violation``)."""
+    reason = tail_violation(u)
     return reason is None, reason
 
 

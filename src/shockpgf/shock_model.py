@@ -107,11 +107,13 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     The weights run by the recurrence w_k = w_{k-1} * mu/k from exp(-mu),
     except where exp(-mu) is subnormal or zero (mu past about 708): there
     each weight is formed in log space and the terms are summed with fsum.
+    The table's cached ``violation`` (exact tails as rationals, before
+    rounding) and ``floats`` make a whole curve validate and convert once.
     """
     t = float(t)
     if not 0 <= t < math.inf:
         raise ValidationError(f"time t={t} must be non-negative and finite")
-    require_tail(t_seq.values)
+    require_tail(t_seq)
     mu = float(params.lam) * t
     if mu == 0:
         return 1.0
@@ -120,17 +122,18 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
         raise ValidationError(
             f"tail sequence too short: series at t={t} needs order {K}, have {t_seq.K}"
         )
+    u = t_seq.floats
     w = math.exp(-mu)
     if w < sys.float_info.min:
         log_mu = math.log(mu)
-        acc = math.fsum(float(t_seq.values[k]) * math.exp(k * log_mu - mu - math.lgamma(k + 1))
+        acc = math.fsum(u[k] * math.exp(k * log_mu - mu - math.lgamma(k + 1))
                         for k in range(K + 1))
         return min(max(acc, 0.0), 1.0)
     acc = 0.0
     for k in range(K + 1):
         if k:
             w *= mu / k
-        acc += float(t_seq.values[k]) * w
+        acc += u[k] * w
     return min(max(acc, 0.0), 1.0)
 
 
@@ -187,18 +190,12 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
     (verdict, first_violation) pair as ``is_completely_monotone``; tol
     defaults to 1e-9 times the largest skeleton value.
 
-    Exact tails are validated once and converted to floats once; the
-    series reads only their float values, so every skeleton value is the
-    one the exact tails would give.
+    Every ``survival`` call reads the table's cached validity and floats.
     """
     delta = float(require_positive(delta, "grid step delta"))
     require_int(J, "skeleton order", 1)
     if require_int(n_points, "skeleton length") < J + 1:
         raise ValidationError(f"need n_points >= J+1 = {J + 1}, have {n_points}")
-    if t_seq.exact:
-        # validate the rationals before rounding: an exact increase can round to equal floats
-        require_tail(t_seq.values)
-        t_seq = TailSequence.from_values(float(v) for v in t_seq.values)
     u = [survival(t_seq, params, n * delta) for n in range(n_points)]
     if tol is None:
         tol = 1e-9 * max(abs(x) for x in u)
@@ -349,8 +346,8 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     if not params.time_grid:
         raise ValidationError("params.time_grid must be non-empty for a survival report")
     t_seq = tail_sequence(q, K)
-    require_tail(t_seq.values)
-    tail = np.array([float(v) for v in t_seq.values])
+    require_tail(t_seq)
+    tail = np.array(t_seq.floats)
     leftover = tail[-1]
     ratio = None
     if tail_model == "none" and leftover > max_truncation_mass:

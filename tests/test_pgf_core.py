@@ -1,17 +1,19 @@
 """Kernel, p.g.f. evaluation, tails, pmfs, and the stress family."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shockpgf import (
     Atom,
     MixingDistribution,
     Segment,
+    ShockModelParams,
     ValidationError,
     counterexample_Q,
     counterexample_params,
@@ -19,6 +21,7 @@ from shockpgf import (
     counterexample_tail_sequence,
     difference_table,
     geometric_pmf,
+    is_completely_monotone,
     kernel,
     lemma22_coefficients,
     mass_on,
@@ -27,7 +30,9 @@ from shockpgf import (
     pmf_from_tail,
     point_mass,
     resistance_gf,
+    survival,
     tail_sequence,
+    tail_validity,
     tail_violation,
     uniform_density,
 )
@@ -37,7 +42,7 @@ from shockpgf.families import (
     random_unit_support,
     random_with_mass_beyond_two,
 )
-from shockpgf.pgf_core import PmfSequence, TailSequence
+from shockpgf.pgf_core import PmfSequence, TailSequence, require_tail
 
 P17 = counterexample_params("1/7", "2/3")
 CE = counterexample_Q(P17)
@@ -116,10 +121,9 @@ def test_tail_sequence_counterexample_frozen_values():
 
 def test_closed_form_matches_moments_for_seeded_params():
     rng = random.Random(99)
-    for _ in range(5):
-        p = random_admissible_params(rng)
-        t = tail_sequence(counterexample_Q(p), 30)
-        assert t.values == counterexample_tail_sequence(p, 30).values
+    for p, K in [(random_admissible_params(rng), 30) for _ in range(5)] + [(P17, 1000)]:
+        t = counterexample_tail_sequence(p, K)  # the moments of counterexample_Q(p)
+        assert t.values == tuple(counterexample_tail(p, k) for k in range(K + 1))
 
 
 def test_tail_sequence_exact_for_int_scalars():
@@ -180,6 +184,65 @@ def test_tail_sequence_matches_integrate_and_hausdorff_moments(q, K, data):
         j = data.draw(st.integers(0, K))
         k = data.draw(st.integers(0, K - j))
         assert difference_table(t, j).value(j, k) == _hausdorff_moment(q, j, k)
+
+
+# an atom beyond 1, a segment reaching past 2, a zero-density segment
+_HAND_BUILT = (
+    MixingDistribution((Atom(F(3, 2), F(1, 3)),), (Segment(F(0), F(1), F(2, 3)),)),
+    MixingDistribution(segments=(Segment(F(1, 2), F(5, 2), F(1, 2)),)),
+    MixingDistribution((Atom(F(1, 4), F(1)),), (Segment(F(1), F(3), F(0)),)),
+)
+_tols = st.one_of(st.sampled_from((0, math.inf)), st.fractions(0, 1, max_denominator=1000),
+                  st.floats(0, 1, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.one_of(st.sampled_from(_HAND_BUILT), st.integers(0, 10**6).map(_family_law),
+                   _wide_laws()),
+       K=st.integers(0, 30), tol=_tols)
+@example(q=_HAND_BUILT[0], K=0, tol=0)
+@example(q=_HAND_BUILT[1], K=0, tol=F(1, 3))
+@example(q=_HAND_BUILT[1], K=1, tol=0)  # (1, -1/2): non-increasing, yet negative
+def test_cached_facts_equal_reference_paths(q, K, tol):
+    """Validity and the integer form read off the numerators equal the Fraction routes."""
+    t = tail_sequence(q, K)
+    assert t.violation == tail_violation(t.values)
+    N, D = t.integers
+    assert len(N) == K + 1 and all(F(n, D) == v for n, v in zip(N, t.values))
+    for J in range(K + 1):
+        assert is_completely_monotone(t, J, tol) == is_completely_monotone(list(t.values), J, tol)
+
+
+def test_validators_accept_a_table():
+    good, bad = tail_sequence(CE, 6), tail_sequence(point_mass("5/2"), 4)
+    require_tail(good)
+    assert tail_violation(good) is None and tail_validity(good) == (True, None)
+    reason = "entry k=1 is negative (-1.5)"
+    assert tail_violation(bad) == reason and tail_validity(bad) == (False, reason)
+
+
+def test_cached_facts_stay_out_of_equality_and_pickle_with_the_table():
+    t = tail_sequence(CE, 40)
+    plain = TailSequence.from_values(t.values)
+    for _ in range(2):  # before and after the first pass fills the caches
+        assert t == plain and hash(t) == hash(plain) and repr(t) == repr(plain)
+        assert t.violation is None and is_completely_monotone(t, 4) == (False, (2, 1))
+    for table in (tail_sequence(CE, 40), t, plain):
+        back = pickle.loads(pickle.dumps(table))
+        assert back.values == t.values and back.violation is None
+        assert is_completely_monotone(back, 4) == (False, (2, 1))
+    floats = TailSequence.from_values(float(v) for v in t.values)
+    assert floats.floats is floats.values
+    assert t.floats == floats.values
+
+
+def test_invalid_table_is_refused_on_every_call():
+    bad = tail_sequence(point_mass("5/2"), 4)
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="not a valid tail sequence: entry k=1"):
+            require_tail(bad)
+        with pytest.raises(ValidationError, match="not a valid tail sequence: entry k=1"):
+            survival(bad, ShockModelParams(lam=1), 0.5)
 
 
 def test_tail_violation_reasons():

@@ -150,13 +150,14 @@ def test_cm_check_matches_full_table_scan(u, tol, data):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10**6), K=st.integers(1, 60), data=st.data())
-def test_cm_check_matches_full_table_scan_on_tails(seed, K, data):
+@given(seed=st.integers(0, 10**6), K=st.integers(1, 60), tol=_tols, data=st.data())
+def test_cm_check_matches_full_table_scan_on_tails(seed, K, tol, data):
+    """With tol > 0 the limit ceil(-tol*D) rests on a denominator that is not the least."""
     rng = random.Random(seed)
     gen = rng.choice((random_unit_support, random_mid_mass, random_with_mass_beyond_two))
     u = tail_sequence(gen(rng), K)
     J = data.draw(st.integers(0, K))
-    assert is_completely_monotone(u, J) == _first_violation_by_table(u.values, J, 0)
+    assert is_completely_monotone(u, J, tol) == _first_violation_by_table(u.values, J, tol)
 
 
 def test_cm_check_order_guard_matches_difference_table():
