@@ -5,10 +5,6 @@ computes one report, and writes it as CSV or JSON to stdout or a file.
 Output is deterministic for fixed inputs: floats are rendered with repr
 and simulations are seeded. Exit codes: 0 on success, 2 for invalid
 input or arguments, 3 when a numeric routine cannot deliver the request.
-
-A --config file maps subcommand names to option defaults, keyed by the
-option name with dashes turned into underscores, e.g.
-{"tail": {"dist": "q.json", "k": 50}}.
 """
 
 from __future__ import annotations
@@ -114,14 +110,18 @@ def _parse_grid(text: str, name: str) -> list:
 def _write(out: str, text: str) -> None:
     if out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror}")
 
 
 def _emit(out: str, fmt: str, doc, csv) -> None:
-    """Write the requested format; ``doc`` and ``csv`` are thunks and only that one runs."""
-    _write(out, json.dumps(doc(), indent=2) + "\n" if fmt == "json" else csv())
+    """Write the requested format; ``doc`` and ``csv`` are thunks and only that one runs.
+    ``jsonable`` renders the laws, Fractions and reports that ``json`` cannot encode."""
+    _write(out, json.dumps(doc(), indent=2, default=jsonable) + "\n" if fmt == "json" else csv())
 
 
 def io_options(default_format: str):
@@ -143,17 +143,8 @@ tol_option = click.option("--tol", type=float, default=1e-10, show_default=True,
 
 @click.group()
 @click.version_option(__version__, prog_name="shockpgf")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False),
-              help="JSON file with per-subcommand option defaults.")
-@click.pass_context
-def cli(ctx, config):
+def cli():
     """Mixture p.g.f. and shock-model survival toolkit."""
-    if config:
-        try:
-            with open(config, encoding="utf-8") as fh:
-                ctx.default_map = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config file: {exc}")
 
 
 @cli.command()
@@ -169,8 +160,8 @@ def pgf(dist, z, tol, format, out):
     rows = [(pt, pgf_eval(q, pt, tol)) for pt in _parse_grid(z, "z")]
     _emit(out, format, lambda: {
         "command": "pgf",
-        "distribution": q.to_json_dict(),
-        "rows": [{"z": jsonable(pt), "phi": jsonable(v), "decimal": float(v)} for pt, v in rows],
+        "distribution": q,
+        "rows": [{"z": pt, "phi": v, "decimal": float(v)} for pt, v in rows],
     }, lambda: csv_text(("z", "phi"), ((float(pt), float(v)) for pt, v in rows)))
 
 
@@ -187,7 +178,7 @@ def tail(dist, k, format, out):
     valid, reason = tail_validity(t)
     _emit(out, format, lambda: {
         "command": "tail",
-        "distribution": q.to_json_dict(),
+        "distribution": q,
         "valid": valid,
         "invalid_reason": reason,
         "tail": t.to_json_dict(),
@@ -225,7 +216,7 @@ def cm_check(dist, values, k, j, tol, format, out):
     _emit(out, format, lambda: {
         "command": "cm-check",
         **({"source": "values"} if q is None
-           else {"source": "dist", "distribution": q.to_json_dict()}),
+           else {"source": "dist", "distribution": q}),
         "J": table.J,
         "tol": tol,
         "completely_monotone": verdict,
@@ -245,9 +236,9 @@ def classify(dist, format, out):
     ej = expected_shocks(q)
     _emit(out, format, lambda: {
         "command": "classify",
-        "distribution": q.to_json_dict(),
+        "distribution": q,
         **c.to_json_dict(),
-        "expected_shocks": "inf" if ej == math.inf else jsonable(ej),
+        "expected_shocks": "inf" if ej == math.inf else ej,
     }, lambda: csv_text(("verdict", "m01", "m12", "m2", "expected_shocks"),
                         [(c.verdict, c.m01, c.m12, c.m2, ej)]))
 
@@ -268,18 +259,14 @@ def counterexample(alpha, beta, k, j, format, out):
     t = counterexample_tail_sequence(p, k)
     valid, reason = tail_validity(t)
     verdict, first = is_completely_monotone(t, min(j, k), 0)
-    mono_fail = None
-    for n in range(k // 2 + 1):
-        if not monotonicity_condition(p, n).holds:
-            mono_fail = n
-            break
+    mono_fail = next((n for n in range(k // 2 + 1) if not monotonicity_condition(p, n)), None)
     second = difference_table(t, 2).entries[2] if k >= 2 else ()
     _emit(out, format, lambda: {
         "command": "counterexample",
-        "alpha": jsonable(p.alpha),
-        "beta": jsonable(p.beta),
+        "alpha": p.alpha,
+        "beta": p.beta,
         "admissible": p.admissible,
-        "distribution": q.to_json_dict(),
+        "distribution": q,
         "classification": classify_support(q).to_json_dict(),
         "tail_valid": valid,
         "invalid_reason": reason,
@@ -287,7 +274,7 @@ def counterexample(alpha, beta, k, j, format, out):
         "completely_monotone": verdict,
         "first_violation": None if first is None else {"j": first[0], "k": first[1]},
         "second_differences": [
-            {"k": i, "value": jsonable(v), "decimal": float(v)}
+            {"k": i, "value": v, "decimal": float(v)}
             for i, v in enumerate(second[: min(len(second), 9)])
         ],
         "tail": t.to_json_dict(),
@@ -315,8 +302,8 @@ def survival_cmd(dist, lam, t, k, series_tol, format, out):
     rows = [(v, survival(t_seq, params, v)) for v in grid]
     _emit(out, format, lambda: {
         "command": "survival",
-        "distribution": q.to_json_dict(),
-        "lam": jsonable(params.lam),
+        "distribution": q,
+        "lam": params.lam,
         "rows": [{"t": v, "survival": s} for v, s in rows],
     }, lambda: csv_text(("t", "survival"), rows))
 
@@ -336,9 +323,9 @@ def laplace_cmd(dist, lam, s, tol, format, out):
     rows = [(pt, laplace(q, lam_v, pt, tol)) for pt in _parse_grid(s, "s")]
     _emit(out, format, lambda: {
         "command": "laplace",
-        "distribution": q.to_json_dict(),
-        "lam": jsonable(lam_v),
-        "rows": [{"s": jsonable(pt), "value": jsonable(v), "decimal": float(v)} for pt, v in rows],
+        "distribution": q,
+        "lam": lam_v,
+        "rows": [{"s": pt, "value": v, "decimal": float(v)} for pt, v in rows],
     }, lambda: csv_text(("s", "value"), ((float(pt), float(v)) for pt, v in rows)))
 
 
@@ -368,8 +355,8 @@ def bounds(dist, z, s, lam, tol, format, out):
     _emit(out, format, lambda: {
         "command": "bounds",
         "scale": scale,
-        "distribution": q.to_json_dict(),
-        "rows": [b.to_json_dict() for b in results],
+        "distribution": q,
+        "rows": results,
     }, lambda: csv_text(header, ([float(getattr(b, col)) for col in header] for b in results)))
 
 
@@ -395,8 +382,8 @@ def skeleton(dist, lam, delta, j, n_points, k, series_tol, format, out):
     verdict, first = sdfr_skeleton_check(t_seq, params, delta, j, n_points)
     _emit(out, format, lambda: {
         "command": "skeleton",
-        "distribution": q.to_json_dict(),
-        "lam": jsonable(params.lam),
+        "distribution": q,
+        "lam": params.lam,
         "delta": delta,
         "J": j,
         "n_points": n_points,
@@ -435,7 +422,7 @@ def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, series_tol, format, 
     else:
         result = simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)
     _emit(out, format, lambda: {"command": "simulate", "mode": mode,
-                                "distribution": q.to_json_dict(), **result.to_json_dict()},
+                                "distribution": q, **result.to_json_dict()},
           result.to_csv)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .errors import QuadratureError, ValidationError
@@ -50,33 +50,34 @@ def is_exact(x: Num) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def jsonable(x: Num) -> int | float | str:
-    """JSON form of a scalar: int or "num/den" when exact, float otherwise."""
-    if is_exact(x):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def jsonable(x):
+    """JSON form of a value: int or "num/den" when exact, float for other numbers; str,
+    bool and None as they are; containers element by element; a dataclass as a dict of
+    its public fields in declaration order. Scalars, nearly every call, are tested first."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, (int, str)) or x is None:  # bool is an int
+        return x
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: jsonable(getattr(x, f.name))
+                for f in fields(x) if not f.name.startswith("_")}
     return float(x)
 
 
-def render(x: Num) -> str:
-    """Deterministic text form for CSV cells."""
-    v = jsonable(x)
-    return v if isinstance(v, str) else repr(v)
+def render(x) -> str:
+    """Deterministic text form for CSV cells: empty for None, else ``jsonable`` as text."""
+    return "" if x is None else str(jsonable(x))
 
 
 def csv_text(header: Sequence[str], rows) -> str:
-    """CSV text of a header and rows, one line each.
-
-    One cell rule: None is an empty cell, str and bool print as they are,
-    and every other value goes through ``render``.
-    """
-
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        return str(v) if isinstance(v, (str, bool)) else render(v)
-
-    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
+    """CSV text of a header and rows, one line each, every cell through ``render``."""
+    return "".join(",".join(map(render, row)) + "\n" for row in (header, *rows))
 
 
 def require_int(x, what: str, least: int = 0) -> int:
@@ -88,9 +89,14 @@ def require_int(x, what: str, least: int = 0) -> int:
 
 
 def require_positive(x, what: str, hi: Num = math.inf, closed: bool = False) -> Num:
-    """parse_number(x), refused unless 0 < x < hi (x <= hi when closed); nan and inf fail."""
+    """parse_number(x), refused unless 0 < x < hi (x <= hi when closed) and float(x) is
+    finite; nan, inf and exact values past the float range fail."""
     v = parse_number(x)
-    if not (0 < v <= hi if closed else 0 < v < hi):
+    try:
+        ok = (0 < v <= hi if closed else 0 < v < hi) and math.isfinite(v)
+    except OverflowError:  # float(v) of an exact v past the float range
+        ok = False
+    if not ok:
         raise ValidationError(f"{what}={v} must be positive and finite" if hi == math.inf
                               else f"{what}={v} outside (0, {hi}{']' if closed else ')'}")
     return v
@@ -185,13 +191,7 @@ class MixingDistribution:
         return sum(a.p for a in self.atoms) + sum(s.mass for s in self.segments)
 
     def to_json_dict(self) -> dict:
-        return {
-            "atoms": [{"y": jsonable(a.y), "p": jsonable(a.p)} for a in self.atoms],
-            "segments": [
-                {"lo": jsonable(s.lo), "hi": jsonable(s.hi), "density": jsonable(s.density)}
-                for s in self.segments
-            ],
-        }
+        return jsonable(self)
 
     @classmethod
     def from_json_dict(cls, doc) -> "MixingDistribution":

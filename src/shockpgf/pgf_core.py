@@ -387,17 +387,7 @@ def counterexample_tail_sequence(p: CounterexampleParams, K: int) -> TailSequenc
     return tail_sequence(counterexample_Q(p), K)
 
 
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    """Outcome of the exact no-increase test between entries 2n+1 and 2n+2."""
-
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-
-def monotonicity_condition(p: CounterexampleParams, n: int) -> MonotonicityCheck:
+def monotonicity_condition(p: CounterexampleParams, n: int) -> bool:
     """Exact test that the family tail does not increase from 2n+1 to 2n+2.
 
     The comparison is beta * alpha**(2n+1) * (2n(1+alpha) + 3 + 2*alpha)
@@ -406,5 +396,4 @@ def monotonicity_condition(p: CounterexampleParams, n: int) -> MonotonicityCheck
     """
     require_int(n, "index")
     lhs = p.beta * p.alpha ** (2 * n + 1) * (2 * n * (1 + p.alpha) + 3 + 2 * p.alpha)
-    rhs = 1 - p.beta
-    return MonotonicityCheck(n=n, lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    return lhs <= 1 - p.beta

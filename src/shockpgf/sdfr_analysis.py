@@ -62,7 +62,7 @@ class DifferenceTable:
         return {
             "J": self.J,
             "exact": self.exact,
-            "rows": [[jsonable(v) for v in row] for row in self.entries],
+            "rows": jsonable(self.entries),
         }
 
 
@@ -140,10 +140,8 @@ class SupportClassification:
     m2: Num
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "masses": {"m01": jsonable(self.m01), "m12": jsonable(self.m12), "m2": jsonable(self.m2)},
-        }
+        doc = jsonable(self)
+        return {"verdict": doc.pop("verdict"), "masses": doc}
 
 
 def classify_support(q: MixingDistribution) -> SupportClassification:
@@ -197,17 +195,6 @@ class PgfBounds:
     mean_y: Num
     mean_shocks: Num
 
-    def to_json_dict(self) -> dict:
-        return {
-            "z": jsonable(self.z),
-            "lower": jsonable(self.lower),
-            "phi": jsonable(self.phi),
-            "upper": jsonable(self.upper),
-            "upper_is_geometric": self.upper_is_geometric,
-            "mean_y": jsonable(self.mean_y),
-            "mean_shocks": jsonable(self.mean_shocks),
-        }
-
 
 def pgf_bounds(q: MixingDistribution, z, tol: float = 1e-10) -> PgfBounds:
     """Pinch phi(z) between the two geometric-type curves it always respects.
@@ -236,16 +223,6 @@ class LaplaceOrderBounds:
     value: Num
     upper: Num
     upper_is_exponential: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": jsonable(self.s),
-            "lam": jsonable(self.lam),
-            "lower": jsonable(self.lower),
-            "value": jsonable(self.value),
-            "upper": jsonable(self.upper),
-            "upper_is_exponential": self.upper_is_exponential,
-        }
 
 
 def laplace_order_bounds(q: MixingDistribution, lam, s, tol: float = 1e-10) -> LaplaceOrderBounds:

@@ -207,6 +207,12 @@ def test_usage_errors_are_exit_2():
     ("skeleton", "--delta", "inf"),
     ("simulate", "--t", "nan", "--tail-model", "geometric"),
     ("simulate", "--t", "1,inf", "--tail-model", "geometric"),
+    # an exact rate past the float range
+    ("survival", "--lam", "1e400"),
+    ("laplace", "--lam", "1e400"),
+    ("bounds", "--s", "1", "--lam", "1e400"),
+    ("skeleton", "--lam", "1e400"),
+    ("simulate", "--lam", "1e400"),
 ])
 def test_non_finite_times_are_exit_2(args):
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])
@@ -264,18 +270,12 @@ def test_out_writes_file(tmp_path):
     assert target.read_text() == "z,phi\n0.5,0.5\n"
 
 
-def test_config_supplies_defaults(tmp_path):
-    dist_file = tmp_path / "q.json"
-    dist_file.write_text(CE_JSON)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tail": {"dist": str(dist_file), "k": 3}}))
-    res = run("--config", str(cfg), "tail")
-    assert res.exit_code == 0
-    lines = res.output.splitlines()
-    assert len(lines) == 5  # header plus orders 0..3
-    # explicit flags still win over the config file
-    res = run("--config", str(cfg), "tail", "--K", "1")
-    assert len(res.output.splitlines()) == 3
+@pytest.mark.parametrize("where", ["missing/phi.csv", "."])
+def test_unwritable_out_is_exit_2(tmp_path, where):
+    target = str(tmp_path / where)
+    res = run("pgf", "--dist", UNIT_ATOM, "--out", target)
+    assert res.exit_code == 2
+    assert target in err_text(res)
 
 
 def test_json_output_round_trips_distribution():

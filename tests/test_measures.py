@@ -21,6 +21,7 @@ from shockpgf import (
     expected_shocks,
     geometric_pmf,
     is_exact,
+    jsonable,
     laplace,
     laplace_order_bounds,
     lemma22_coefficients,
@@ -225,6 +226,20 @@ def test_json_round_trip():
     assert MixingDistribution.from_json_dict(doc) == CE
     text = json.dumps(doc)
     assert MixingDistribution.from_json_dict(json.loads(text)) == CE
+
+
+def test_jsonable_is_one_rule_for_scalars_containers_and_reports():
+    assert [jsonable(x) for x in (F(3), F(-5, 7), 4, 0.5, np.float64(0.25), np.int64(2))] == [
+        3, "-5/7", 4, 0.5, 0.25, 2.0]
+    assert [jsonable(x) for x in (True, None, "inf")] == [True, None, "inf"]
+    assert jsonable({"a": (F(1, 2), [F(2)])}) == {"a": ["1/2", [2]]}
+    b = pgf_bounds(point_mass("1/2"), F(1, 2))
+    assert list(jsonable(b)) == ["z", "lower", "phi", "upper", "upper_is_geometric",
+                                 "mean_y", "mean_shocks"]
+    assert jsonable(b)["upper_is_geometric"] is True
+    # private fields such as a table's cached numerators stay out
+    assert jsonable(tail_sequence(point_mass("1/2"), 1)) == {"values": [1, "1/2"],
+                                                              "exact": True}
 
 
 def test_json_round_trip_random_families():

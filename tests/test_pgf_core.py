@@ -375,11 +375,10 @@ def test_counterexample_tail_closed_form_values():
 
 
 def test_monotonicity_condition_values():
-    c0 = monotonicity_condition(P17, 0)
-    assert (c0.lhs, c0.rhs, c0.holds) == (F(46, 147), F(1, 3), True)
-    assert all(monotonicity_condition(P17, n).holds for n in range(150))
+    assert monotonicity_condition(P17, 0) is True
+    assert all(monotonicity_condition(P17, n) for n in range(150))
     bad = counterexample_params("9/10", "2/3")
-    assert not monotonicity_condition(bad, 0).holds
+    assert not monotonicity_condition(bad, 0)
 
 
 def test_monotonicity_condition_matches_tail_steps():
@@ -391,7 +390,7 @@ def test_monotonicity_condition_matches_tail_steps():
         p = counterexample_params(alpha, beta)
         for n in range(6):
             step_ok = counterexample_tail(p, 2 * n + 1) >= counterexample_tail(p, 2 * n + 2)
-            assert monotonicity_condition(p, n).holds == step_ok
+            assert monotonicity_condition(p, n) == step_ok
 
 
 def test_tail_sequence_serialization():

@@ -314,6 +314,21 @@ def test_simulate_refuses_silent_truncation():
         simulate_failure_times(point_mass(1), ShockModelParams(lam=1), 100, 0)
 
 
+def test_growing_n_keeps_the_replicate_prefix():
+    """n = 16390 and 32775 straddle the 16384-replicate block: the larger run
+    holds the smaller one's replicates, so its extra survivors are a count of
+    extra replicates alive at t, never negative and never rising in t."""
+    params = ShockModelParams(lam=1, time_grid=tuple(0.05 * i for i in range(1, 400)))
+    counts = []
+    for n in (16390, 32775):
+        sim = simulate_failure_times(point_mass("1/2"), params, n, 9, K=80)
+        counts.append([round(n * e) for e in sim.empirical])
+    extra = [b - a for a, b in zip(*counts)]
+    assert all(d >= 0 for d in extra)
+    assert all(later <= earlier for earlier, later in zip(extra, extra[1:]))
+    assert extra[0] > extra[-1]
+
+
 def test_simulation_error_shrinks_like_root_n():
     params = ShockModelParams(lam=1, time_grid=(1.0,))
     small = simulate_failure_times(point_mass("1/2"), params, 4000, 5, K=120)
