@@ -260,7 +260,8 @@ def counterexample(alpha, beta, k, j, format, out):
     valid, reason = tail_validity(t)
     verdict, first = is_completely_monotone(t, min(j, k), 0)
     mono_fail = next((n for n in range(k // 2 + 1) if not monotonicity_condition(p, n)), None)
-    second = difference_table(t, 2).entries[2] if k >= 2 else ()
+    # row 2 at i reads u_i..u_{i+2}: the first 11 entries give the 9 that are printed
+    second = difference_table(t.values[:11], 2).entries[2] if k >= 2 else ()
     _emit(out, format, lambda: {
         "command": "counterexample",
         "alpha": p.alpha,
@@ -275,7 +276,7 @@ def counterexample(alpha, beta, k, j, format, out):
         "first_violation": None if first is None else {"j": first[0], "k": first[1]},
         "second_differences": [
             {"k": i, "value": v, "decimal": float(v)}
-            for i, v in enumerate(second[: min(len(second), 9)])
+            for i, v in enumerate(second)
         ],
         "tail": t.to_json_dict(),
     }, t.to_csv)
@@ -295,11 +296,10 @@ def counterexample(alpha, beta, k, j, format, out):
 def survival_cmd(dist, lam, t, k, series_tol, format, out):
     """Shock-model survival on a time grid."""
     q = _load_distribution(dist)
-    grid = [float(v) for v in _parse_grid(t, "t")]
     params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol,
-                              time_grid=tuple(grid))
+                              time_grid=tuple(_parse_grid(t, "t")))
     t_seq = tail_sequence(q, k)
-    rows = [(v, survival(t_seq, params, v)) for v in grid]
+    rows = [(v, survival(t_seq, params, v)) for v in params.time_grid]
     _emit(out, format, lambda: {
         "command": "survival",
         "distribution": q,
@@ -416,8 +416,8 @@ def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, series_tol, format, 
     """Seeded Monte Carlo against the analytic curves."""
     q = _load_distribution(dist)
     if mode == "failure":
-        grid = tuple(float(v) for v in _parse_grid(t, "t"))
-        params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol, time_grid=grid)
+        params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol,
+                                  time_grid=tuple(_parse_grid(t, "t")))
         result = simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
     else:
         result = simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)

@@ -13,10 +13,13 @@ under Q, and everything here is computed exactly for rational Q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import pairwise
+from itertools import accumulate, pairwise, repeat
+from operator import add, floordiv, mul
+from typing import Iterator
 
 from .errors import ValidationError
 from .measures import (
@@ -90,9 +93,9 @@ def resistance_gf(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
 class TailSequence:
     """Tails u_k = P(count > k), k = 0..K; exact means every entry is rational.
 
-    ``violation``, ``floats`` and ``integers`` are computed once, on first
-    use, and kept: the table is frozen and holds immutable numbers. Neither
-    they nor ``_scaled`` enter equality, hashing or repr.
+    ``violation`` and ``floats`` are computed once and kept (the table is frozen
+    and holds immutable numbers); ``integers`` is made as far as it is read. None
+    of them nor ``_scaled`` enter equality, hashing or repr.
     """
 
     values: tuple[Num, ...]
@@ -129,23 +132,22 @@ class TailSequence:
             return self.values
         return tuple(float(v) for v in self.values)
 
-    @cached_property
-    def integers(self) -> tuple[tuple[int, ...], int]:
-        """Exact entries as integers N_k over one common denominator D: with
-        ``_scaled``, M*lcm(1..K+1)*B**(K+1), needing no big division and not
-        always the least; otherwise the lcm of the denominators."""
+    @property
+    def integers(self) -> tuple[Iterator[int], int]:
+        """Exact entries as integers N_k over one common denominator D, made lazily in k
+        order: with ``_scaled``, N_k = n_k*(L/(k+1))*B**(K-k) over D = M*L*B**(K+1), L =
+        lcm(1..K+1), not always the least D; otherwise D is the lcm of the denominators."""
         if not self.exact:
             raise ValidationError("only an exact tail sequence has an integer form")
         if self._scaled is None:
             D = math.lcm(*(v.denominator for v in self.values))
-            return tuple(v.numerator * (D // v.denominator) for v in self.values), D
+            return (v.numerator * (D // v.denominator) for v in self.values), D
         n, M, B = self._scaled
-        L = math.lcm(*range(1, len(n) + 1))
-        N, B_pow = [0] * len(n), 1
-        for k in reversed(range(len(n))):
-            N[k] = n[k] * (L // (k + 1)) * B_pow
-            B_pow *= B
-        return tuple(N), M * L * B_pow
+        K = len(n) - 1
+        L, B_pow = math.lcm(*range(1, K + 2)), B**K
+        N = map(mul, map(mul, n, map(floordiv, repeat(L), range(1, K + 2))),
+                accumulate(repeat(B, K), floordiv, initial=B_pow))
+        return N, M * L * B_pow * B
 
     def to_json_dict(self) -> dict:
         entries = [{"k": k, "value": jsonable(v), "decimal": float(v)}
@@ -199,7 +201,7 @@ class PmfSequence:
 def tail_violation(values) -> str | None:
     """Why the sequence fails to be the tail of a positive count, or None.
 
-    A valid tail starts at 1, never increases, and stays non-negative.
+    A valid tail starts at 1, never increases, stays non-negative and holds no NaN.
     """
     if isinstance(values, TailSequence):
         return values.violation
@@ -209,6 +211,8 @@ def tail_violation(values) -> str | None:
     if vals[0] != 1:
         return f"entry k=0 is {float(vals[0])!r}, expected 1"
     for k, v in enumerate(vals):
+        if v != v:
+            return f"entry k={k} is NaN"
         if v < 0:
             return f"entry k={k} is negative ({float(v)!r})"
     for k in range(len(vals) - 1):
@@ -224,6 +228,36 @@ def require_tail(values) -> None:
         raise ValidationError(f"not a valid tail sequence: {reason}")
 
 
+@numbers.Rational.register
+class _Terms:
+    """Lowest terms that ``Fraction`` copies; made as ``_Lowest``, whose isinstance is cached."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+class _Lowest(_Terms):
+    __slots__ = ()
+
+
+def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
+    """n / (X * B**e) in lowest terms, powers[i] = B**(i+1), by gcds with one small operand:
+    each step divides out c = gcd(r, Y * B**s), leaving r coprime to the small Y*B**s//c that
+    the denominator keeps; once that has every prime of B (B | Y**bits(B)), r is coprime to
+    the denominator. s starts at 2 and doubles, so a high power of B takes few steps."""
+    r, Y, s = n, X, 2
+    while e:
+        s = min(s, e)
+        Bs = B**s
+        c = math.gcd(r, Y * Bs)
+        r, Y, e, s = r // c, Y * Bs // c, e - s, 2 * s
+        if not pow(Y, B.bit_length(), B):
+            break
+    return Fraction(_Lowest(r, Y * powers[e - 1] if e else Y))
+
+
 def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     """Shock-resistance tails: entry k integrates (1 - y)**k against q.
 
@@ -235,11 +269,12 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
         ((k+1)*B * sum_atoms w*a**k + sum_segments w*(a_lo**(k+1) - a_hi**(k+1)))
         / (M * (k+1) * B**(k+1)),
 
-    normalised once; the table keeps the n_k, M and B for its ``violation``
-    and ``integers``. A q with any float scalar sums each entry in float
-    arithmetic instead, from the per-entry powers (1 - y)**k on atoms and
-    ((1 - lo)**(k+1) - (1 - hi)**(k+1)) / (k+1) on segments; running float
-    powers would round differently and change published tails.
+    reduced by ``_lowest`` without a gcd of two big numbers; the table keeps
+    the n_k, M and B for its ``violation`` and ``integers``. A q with any
+    float scalar sums each entry in float arithmetic instead, from the
+    per-entry powers (1 - y)**k on atoms and ((1 - lo)**(k+1) - (1 - hi)**(k+1))
+    / (k+1) on segments; running float powers would round differently and
+    change published tails.
 
     The moment formula is applied to whatever support q has; use
     ``tail_violation`` or the analysis helpers to decide whether the result
@@ -259,23 +294,19 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     def scaled(x, den: int) -> int:
         return x.numerator * (den // x.denominator)
 
-    atom_w = [scaled(a.p, M) for a in q.atoms]
-    atom_a = [scaled(1 - a.y, B) for a in q.atoms]
-    seg_w = [scaled(s.density, M) for s in segments]
-    seg_a = [(scaled(1 - s.lo, B), scaled(1 - s.hi, B)) for s in segments]
-    atom_pow = [1] * len(atom_a)
-    seg_pow = list(seg_a)
-    B_pow = B
-    nums, values = [], []
-    for k in range(K + 1):
-        n = (k + 1) * B * sum(w * x for w, x in zip(atom_w, atom_pow))
-        n += sum(w * (lo - hi) for w, (lo, hi) in zip(seg_w, seg_pow))
-        nums.append(n)
-        values.append(Fraction(n, M * (k + 1) * B_pow))
-        atom_pow = [x * a for x, a in zip(atom_pow, atom_a)]
-        seg_pow = [(lo * a_lo, hi * a_hi) for (lo, hi), (a_lo, a_hi) in zip(seg_pow, seg_a)]
-        B_pow *= B
-    return TailSequence(tuple(values), True, (tuple(nums), M, B))
+    def column(w: int, a: int):  # w, w*a, ..., w*a**K
+        return accumulate(repeat(a, K), mul, initial=w)
+
+    def total(columns):  # entrywise sums, zeros when there are no columns
+        return map(sum, zip(repeat(0, K + 1), *columns))
+
+    atoms = [column(scaled(a.p, M), scaled(1 - a.y, B)) for a in q.atoms]
+    segs = [column(sign * scaled(s.density, M) * x, x) for s in segments
+            for sign, x in ((1, scaled(1 - s.lo, B)), (-1, scaled(1 - s.hi, B)))]
+    nums = tuple(map(add, map(mul, range(B, (K + 2) * B, B), total(atoms)), total(segs)))
+    values = tuple(map(_lowest, nums, range(M, (K + 2) * M, M), repeat(B), range(1, K + 2),
+                       repeat(list(column(B, B)))))  # powers B, B**2, ..., B**(K+1)
+    return TailSequence(values, True, (nums, M, B))
 
 
 def pmf_from_tail(t: TailSequence) -> PmfSequence:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from functools import partial
+from itertools import pairwise, starmap, takewhile
+from operator import eq, le, sub
 
 from .errors import ValidationError
 from .measures import (
@@ -74,11 +76,10 @@ def _table(u, J) -> TailSequence:
         raise ValidationError(
             f"need at least J+1 = {J + 1} entries to difference {J} times, have {len(vals)}"
         )
-    return u if isinstance(u, TailSequence) else TailSequence.from_values(vals)
-
-
-def _decrement(row: list) -> list:
-    return [a - b for a, b in pairwise(row)]
+    t = u if isinstance(u, TailSequence) else TailSequence.from_values(vals)
+    if not (t.exact or all(map(eq, vals, vals))):  # v == v fails only for NaN
+        raise ValidationError(f"entry k={[v == v for v in vals].index(False)} is NaN")
+    return t
 
 
 def difference_table(u, J: int) -> DifferenceTable:
@@ -86,7 +87,7 @@ def difference_table(u, J: int) -> DifferenceTable:
     t = _table(u, J)
     rows = [t.values]
     for _ in range(J):
-        rows.append(tuple(_decrement(rows[-1])))
+        rows.append(tuple(starmap(sub, pairwise(rows[-1]))))
     return DifferenceTable(tuple(rows), t.exact)
 
 
@@ -95,17 +96,17 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
 
     Returns (verdict, first_violation) where the violation is the
     lexicographically first (j, k) with a decrement below -tol, or None.
-    Rows are built one at a time, row j is scanned in k order before row
-    j+1 exists, and the scan stops at the first violation, so a sequence
-    that fails early costs only the rows up to its failure.
+    Rows are made one at a time and each is read in k order only up to its
+    first violation. Rows 0 and 1 of a valid exact tail (``violation`` is
+    None) are non-negative: the scan starts at row 2 and reads the entries
+    only as far as row 2 needs them.
 
     All-exact input (ints and Fractions) is differenced as the integers N_k
-    over one common denominator D of ``TailSequence.integers``, which a
-    table computes once and keeps, so a cell v fails when the integer v
-    lies below ceil(-tol*D), which is v/D < -tol in exact arithmetic. Any
-    other input is differenced in its own arithmetic, as ``difference_table``
-    does. Use tol=0 for exact input; for float input pass a small tolerance
-    to absorb cancellation noise in the higher rows.
+    over one common denominator D of ``TailSequence.integers``, so a cell v
+    fails when the integer v lies below ceil(-tol*D), which is v/D < -tol in
+    exact arithmetic. Any other input is differenced in its own arithmetic,
+    as ``difference_table`` does, and a NaN entry is refused. Use tol=0 for
+    exact input; for float input a small tolerance absorbs cancellation noise.
     """
     if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
@@ -115,12 +116,16 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
         limit = -tol if tol == math.inf else math.ceil(-Fraction(tol) * D)
     else:
         row, limit = t.values, -tol
-    for j in range(J + 1):
-        if j:
-            row = _decrement(row)
-        for k, v in enumerate(row):
-            if v < limit:
-                return False, (j, k)
+    start = 2 if t.exact and t.violation is None else 0
+    for _ in range(start):
+        row = starmap(sub, pairwise(row))
+    for j in range(start, J + 1):
+        if j > start:
+            row = [a - b for a, b in pairwise(row)]
+        if j == start or min(row) < limit:  # read up to the first cell below limit
+            row = list(takewhile(partial(le, limit), row))
+            if len(row) < len(t.values) - j:
+                return False, (j, len(row))
     return True, None
 
 

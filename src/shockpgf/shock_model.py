@@ -57,10 +57,14 @@ class ShockModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", require_positive(self.lam, "arrival rate lam"))
         require_positive(self.series_tol, "series_tol", 1)
-        grid = tuple(float(t) for t in self.time_grid)
-        object.__setattr__(self, "time_grid", grid)
-        if not all(0 <= t < math.inf for t in grid):
+        try:
+            grid = tuple(float(t) for t in self.time_grid)
+            ok = all(0 <= t < math.inf for t in grid)
+        except OverflowError:  # float(t) of an exact t past the float range
+            ok = False
+        if not ok:
             raise ValidationError("time grid entries must be non-negative and finite")
+        object.__setattr__(self, "time_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
 

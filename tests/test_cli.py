@@ -213,6 +213,9 @@ def test_usage_errors_are_exit_2():
     ("bounds", "--s", "1", "--lam", "1e400"),
     ("skeleton", "--lam", "1e400"),
     ("simulate", "--lam", "1e400"),
+    # an exact time past the float range
+    ("survival", "--t", "1" + "0" * 400 + "/1"),
+    ("simulate", "--t", "1" + "0" * 400 + "/1", "--tail-model", "geometric"),
 ])
 def test_non_finite_times_are_exit_2(args):
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])

@@ -37,6 +37,42 @@ def test_exact_command_runs_without_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
+# Blocks numpy and click, then checks the exact core: every tail entry is a Fraction in the
+# lowest terms of n_k / (M*(k+1)*B**(k+1)), and the CM verdicts of a stress law and a unit
+# law. Any interpreter the package supports can run it with PYTHONPATH pointing at src.
+STDLIB_ONLY = """
+import sys
+
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("numpy", "click"):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, Blocked())
+from fractions import Fraction
+from shockpgf import counterexample_Q, counterexample_params, is_completely_monotone
+from shockpgf import point_mass, tail_sequence
+
+ce = tail_sequence(counterexample_Q(counterexample_params("1/7", "2/3")), 60)
+for t in (ce, tail_sequence(point_mass("1/3"), 60)):
+    n, M, B = t._scaled
+    for k, v in enumerate(t.values):
+        ref = Fraction(n[k], M * (k + 1) * B ** (k + 1))
+        assert type(v) is Fraction and (v.numerator, v.denominator) == (
+            ref.numerator, ref.denominator), k
+assert is_completely_monotone(ce, 12) == (False, (2, 1))
+assert is_completely_monotone(tail_sequence(point_mass("1/3"), 60), 12) == (True, None)
+assert "numpy" not in sys.modules and "click" not in sys.modules
+print("ok", sys.version_info[:2])
+"""
+
+
+def test_exact_core_runs_on_the_standard_library_alone():
+    res = run_python("-c", STDLIB_ONLY)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ok")
+
+
 def test_gauss_legendre_literals_are_numpys_rule():
     nodes, weights = np.polynomial.legendre.leggauss(15)
     assert _NODES == tuple(map(float, nodes))

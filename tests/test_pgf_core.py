@@ -42,7 +42,7 @@ from shockpgf.families import (
     random_unit_support,
     random_with_mass_beyond_two,
 )
-from shockpgf.pgf_core import PmfSequence, TailSequence, require_tail
+from shockpgf.pgf_core import PmfSequence, TailSequence, _lowest, require_tail
 
 P17 = counterexample_params("1/7", "2/3")
 CE = counterexample_Q(P17)
@@ -208,9 +208,71 @@ def test_cached_facts_equal_reference_paths(q, K, tol):
     t = tail_sequence(q, K)
     assert t.violation == tail_violation(t.values)
     N, D = t.integers
+    N = list(N)  # made lazily, in k order
     assert len(N) == K + 1 and all(F(n, D) == v for n, v in zip(N, t.values))
     for J in range(K + 1):
         assert is_completely_monotone(t, J, tol) == is_completely_monotone(list(t.values), J, tol)
+
+
+# zero entries (atoms at 1/2 and 3/2 cancel at odd k; an atom at 1), negative entries (mass
+# beyond 2), B = 1, and numerators n_k divisible by high powers of B's primes: point masses
+# at 1/2 and 1/3, two halves of one uniform density (n_k = 2**(k+1)), and atoms at 1/3 and
+# 2/3 beside a segment on [1/2, 3/2) that vanishes at odd k (B = 6, n_k ~ 2**k there)
+_REDUCTION_LAWS = (
+    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(3, 2), F(1, 2)))),
+    point_mass(1),
+    point_mass("5/2"),
+    MixingDistribution((Atom(F(1), F(1, 2)), Atom(F(2), F(1, 2)))),
+    uniform_density(0, 1),
+    point_mass("1/2"),
+    point_mass("1/3"),
+    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(1, 3), F(1, 2)))),
+    MixingDistribution(segments=(Segment(F(0), F(1, 2), F(1)), Segment(F(1, 2), F(1), F(1)))),
+    MixingDistribution((Atom(F(1, 3), F(1, 4)), Atom(F(2, 3), F(1, 4))),
+                       (Segment(F(1, 2), F(3, 2), F(1, 2)),)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(_family_law),
+                   _wide_laws()),
+       K=st.integers(0, 200))
+@example(q=_REDUCTION_LAWS[-1], K=200)
+@example(q=_REDUCTION_LAWS[-2], K=200)
+@example(q=_REDUCTION_LAWS[0], K=0)
+def test_tail_entries_are_reduced_fractions(q, K):
+    """Each entry is a Fraction with the terms of Fraction(n_k, M*(k+1)*B**(k+1))."""
+    t = tail_sequence(q, K)
+    n, M, B = t._scaled
+    for k, v in enumerate(t.values):
+        ref = F(n[k], M * (k + 1) * B ** (k + 1))
+        assert type(v) is F and (v.numerator, v.denominator) == (ref.numerator, ref.denominator)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.integers(-10**40, 10**40), a=st.integers(0, 300), b=st.integers(0, 40),
+       B=st.sampled_from((1, 2, 3, 6, 7, 12, 30, 2**31, 6**20)), X=st.integers(1, 10**15),
+       e=st.integers(1, 120))
+@example(m=0, a=0, b=0, B=6, X=5, e=120)
+@example(m=1, a=300, b=1, B=6, X=1, e=120)
+def test_lowest_terms_of_high_powers_of_the_base(m, a, b, B, X, e):
+    """n = m * 2**a * 3**b over X * B**e: whole, partial and capped strips of B's primes."""
+    n = m * 2**a * 3**b
+    v = _lowest(n, X, B, e, [B ** (i + 1) for i in range(e)])
+    ref = F(n, X * B**e)
+    assert type(v) is F and (v.numerator, v.denominator) == (ref.numerator, ref.denominator)
+
+
+def test_nan_entries_are_named_and_refused():
+    assert tail_validity([1.0, math.nan, 0.5]) == (False, "entry k=1 is NaN")
+    with pytest.raises(ValidationError, match="entry k=1 is NaN"):
+        require_tail([1.0, math.nan, 0.5])
+    for check in (is_completely_monotone, difference_table):
+        with pytest.raises(ValidationError, match="entry k=1 is NaN"):
+            check([1.0, math.nan, 0.5, 0.25], 3)
+    t = TailSequence.from_values([1.0, math.nan] + [0.5] * 60)
+    with pytest.raises(ValidationError, match="entry k=1 is NaN"):
+        survival(t, ShockModelParams(lam=1), 1.0)
 
 
 def test_validators_accept_a_table():

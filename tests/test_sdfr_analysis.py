@@ -12,6 +12,7 @@ from shockpgf import (
     VERDICT_CANDIDATE,
     VERDICT_NOT_PGF,
     VERDICT_UNIT_SUPPORT,
+    TailSequence,
     ValidationError,
     classify_support,
     counterexample_Q,
@@ -158,6 +159,25 @@ def test_cm_check_matches_full_table_scan_on_tails(seed, K, tol, data):
     u = tail_sequence(gen(rng), K)
     J = data.draw(st.integers(0, K))
     assert is_completely_monotone(u, J, tol) == _first_violation_by_table(u.values, J, tol)
+
+
+# invalid tables whose first violation at tol = 0 is a negative entry in row 0
+_INVALID_TABLES = (
+    tail_sequence(point_mass("5/2"), 6),
+    tail_sequence(mix([(F(1, 2), point_mass("1/2")), (F(1, 2), point_mass("9/4"))]), 8),
+    *(tail_sequence(random_with_mass_beyond_two(random.Random(s)), 24) for s in range(4)),
+    TailSequence.from_values((F(1), F(-1, 2), F(1, 4), F(0))),
+    TailSequence.from_values((F(1), F(1, 2), F(-1, 10**9), F(0), F(0))),
+)
+
+
+@pytest.mark.parametrize("t", _INVALID_TABLES)
+@pytest.mark.parametrize("tol", (0, F(1, 3), 0.25, math.inf))
+@pytest.mark.parametrize("J", (0, 1, 2, 3))
+def test_cm_check_matches_full_table_scan_on_invalid_tables(t, tol, J):
+    """A table with a violation is scanned from row 0, whatever J and tol."""
+    assert t.violation is not None and _first_violation_by_table(t.values, 3, 0)[1][0] == 0
+    assert is_completely_monotone(t, J, tol) == _first_violation_by_table(t.values, J, tol)
 
 
 def test_cm_check_order_guard_matches_difference_table():
