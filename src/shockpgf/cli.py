@@ -137,8 +137,6 @@ def io_options(default_format: str):
 
 dist_option = click.option("--dist", metavar="JSON_OR_PATH",
                            help="Mixing distribution: inline JSON or a path to a JSON file.")
-tol_option = click.option("--tol", type=float, default=1e-10, show_default=True,
-                          help="Absolute integration tolerance.")
 
 
 @click.group()
@@ -151,13 +149,12 @@ def cli():
 @dist_option
 @click.option("--z", default="1/4,1/2,3/4", show_default=True,
               help="Comma-separated evaluation points in (0, 1).")
-@tol_option
 @io_options("csv")
 @guarded
-def pgf(dist, z, tol, format, out):
+def pgf(dist, z, format, out):
     """Evaluate the candidate p.g.f. on a grid."""
     q = _load_distribution(dist)
-    rows = [(pt, pgf_eval(q, pt, tol)) for pt in _parse_grid(z, "z")]
+    rows = [(pt, pgf_eval(q, pt)) for pt in _parse_grid(z, "z")]
     _emit(out, format, lambda: {
         "command": "pgf",
         "distribution": q,
@@ -289,15 +286,12 @@ def counterexample(alpha, beta, k, j, format, out):
               help="Comma-separated evaluation times.")
 @click.option("--K", "k", type=int, default=200, show_default=True,
               help="Tail truncation order feeding the series.")
-@click.option("--series-tol", type=float, default=1e-12, show_default=True,
-              help="Poisson mass discarded by series truncation.")
 @io_options("csv")
 @guarded
-def survival_cmd(dist, lam, t, k, series_tol, format, out):
+def survival_cmd(dist, lam, t, k, format, out):
     """Shock-model survival on a time grid."""
     q = _load_distribution(dist)
-    params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol,
-                              time_grid=tuple(_parse_grid(t, "t")))
+    params = ShockModelParams(lam=parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
     t_seq = tail_sequence(q, k)
     rows = [(v, survival(t_seq, params, v)) for v in params.time_grid]
     _emit(out, format, lambda: {
@@ -313,14 +307,13 @@ def survival_cmd(dist, lam, t, k, series_tol, format, out):
 @click.option("--lam", default="1", show_default=True, help="Poisson arrival rate.")
 @click.option("--s", default="0.5,1,2", show_default=True,
               help="Comma-separated transform frequencies.")
-@tol_option
 @io_options("csv")
 @guarded
-def laplace_cmd(dist, lam, s, tol, format, out):
+def laplace_cmd(dist, lam, s, format, out):
     """Failure-time transform on a frequency grid."""
     q = _load_distribution(dist)
     lam_v = parse_number(lam)
-    rows = [(pt, laplace(q, lam_v, pt, tol)) for pt in _parse_grid(s, "s")]
+    rows = [(pt, laplace(q, lam_v, pt)) for pt in _parse_grid(s, "s")]
     _emit(out, format, lambda: {
         "command": "laplace",
         "distribution": q,
@@ -337,20 +330,19 @@ def laplace_cmd(dist, lam, s, tol, format, out):
               help="Comma-separated frequencies; bounds on the transform scale.")
 @click.option("--lam", default="1", show_default=True,
               help="Arrival rate, used with --s.")
-@tol_option
 @io_options("csv")
 @guarded
-def bounds(dist, z, s, lam, tol, format, out):
+def bounds(dist, z, s, lam, format, out):
     """Two-sided bounds around the mixture value."""
     q = _load_distribution(dist)
     if (z is None) == (s is None):
         raise click.UsageError("pass exactly one of --z or --s")
     if z is not None:
-        results = [pgf_bounds(q, pt, tol) for pt in _parse_grid(z, "z")]
+        results = [pgf_bounds(q, pt) for pt in _parse_grid(z, "z")]
         scale, header = "pgf", ("z", "lower", "phi", "upper")
     else:
         lam_v = parse_number(lam)
-        results = [laplace_order_bounds(q, lam_v, pt, tol) for pt in _parse_grid(s, "s")]
+        results = [laplace_order_bounds(q, lam_v, pt) for pt in _parse_grid(s, "s")]
         scale, header = "laplace", ("s", "lower", "value", "upper")
     _emit(out, format, lambda: {
         "command": "bounds",
@@ -370,14 +362,12 @@ def bounds(dist, z, s, lam, tol, format, out):
               help="Skeleton length.")
 @click.option("--K", "k", type=int, default=200, show_default=True,
               help="Tail truncation order feeding the series.")
-@click.option("--series-tol", type=float, default=1e-13, show_default=True,
-              help="Poisson mass discarded by series truncation.")
 @io_options("json")
 @guarded
-def skeleton(dist, lam, delta, j, n_points, k, series_tol, format, out):
+def skeleton(dist, lam, delta, j, n_points, k, format, out):
     """Complete-monotonicity check of the survival skeleton."""
     q = _load_distribution(dist)
-    params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol)
+    params = ShockModelParams(lam=parse_number(lam), series_tol=1e-13)
     t_seq = tail_sequence(q, k)
     verdict, first = sdfr_skeleton_check(t_seq, params, delta, j, n_points)
     _emit(out, format, lambda: {
@@ -409,15 +399,13 @@ def skeleton(dist, lam, delta, j, n_points, k, series_tol, format, out):
 @click.option("--tail-model", type=click.Choice(["none", "geometric", "harmonic"]),
               default="none", show_default=True,
               help="Continuation of the tails beyond K (failure mode).")
-@click.option("--series-tol", type=float, default=1e-12, show_default=True)
 @io_options("csv")
 @guarded
-def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, series_tol, format, out):
+def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, format, out):
     """Seeded Monte Carlo against the analytic curves."""
     q = _load_distribution(dist)
     if mode == "failure":
-        params = ShockModelParams(lam=parse_number(lam), series_tol=series_tol,
-                                  time_grid=tuple(_parse_grid(t, "t")))
+        params = ShockModelParams(lam=parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
         result = simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
     else:
         result = simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)

@@ -102,6 +102,18 @@ def require_positive(x, what: str, hi: Num = math.inf, closed: bool = False) -> 
     return v
 
 
+def require_nonnegative(x, what: str) -> float:
+    """float(x), refused unless 0 <= float(x) < inf; nan, inf and exact values past the
+    float range fail. ``what`` opens the message, and a ``{}`` in it shows x as given."""
+    try:
+        v = float(x)
+    except OverflowError:  # an exact x past the float range
+        v = math.inf
+    if not 0 <= v < math.inf:
+        raise ValidationError(f"{what.format(x)} must be non-negative and finite")
+    return v
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass p at location y."""

@@ -45,6 +45,8 @@ def kernel(y, z) -> Num:
     saturates at 1; exact when both arguments are exact.
     """
     y = parse_number(y)
+    if not (is_exact(y) or math.isfinite(y)):
+        raise ValidationError(f"kernel argument y={y} is not finite")
     if y < 0:
         raise ValidationError(f"kernel argument y={y} is negative")
     z = require_positive(z, "kernel argument z", 1, closed=True)
@@ -53,12 +55,12 @@ def kernel(y, z) -> Num:
     return z * y / (1 - z + z * y)
 
 
-def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
+def pgf_eval(q: MixingDistribution, z) -> Num:
     """Candidate p.g.f. value phi(z): the kernel integrated against q.
 
     Atoms are summed exactly for exact z. Each segment with positive
     density is integrated by adaptive quadrature, with the absolute budget
-    tol split evenly across those segments. Float results are clamped to
+    1e-10 split evenly across those segments. Float results are clamped to
     [0, 1]; exact results are returned as is.
 
     The kernel does have a closed form on [lo, hi), namely
@@ -68,10 +70,8 @@ def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
     and 0.9. Quadrature stays so that published values do not change.
     """
     z = require_positive(z, "evaluation point z", 1)
-    if not tol > 0:
-        raise ValidationError(f"tol={tol} must be positive")
     zf = float(z)
-    seg_tol = tol / max(1, sum(s.density > 0 for s in q.segments))
+    seg_tol = 1e-10 / max(1, sum(s.density > 0 for s in q.segments))
 
     def g(y: float) -> float:
         return zf * y / (1 - zf + zf * y)
@@ -83,10 +83,10 @@ def pgf_eval(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
     return val
 
 
-def resistance_gf(q: MixingDistribution, z, tol: float = 1e-10) -> Num:
+def resistance_gf(q: MixingDistribution, z) -> Num:
     """Generating function of the tail sequence, (1 - phi(z)) / (1 - z)."""
     z = parse_number(z)  # pgf_eval refuses z outside (0, 1) before 1 - z is used
-    return (1 - pgf_eval(q, z, tol)) / (1 - z)
+    return (1 - pgf_eval(q, z)) / (1 - z)
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,8 @@ class PmfSequence:
         if not vals:
             raise ValidationError("pmf must have at least one entry")
         for n, v in enumerate(vals):
+            if v != v:
+                raise ValidationError(f"pmf entry q_{n} is NaN")
             if v < 0:
                 raise ValidationError(f"pmf entry q_{n} = {v} is negative")
         if tail_ratio is not None:
@@ -331,12 +333,12 @@ def geometric_pmf(success, K: int = 16) -> PmfSequence:
     return PmfSequence.from_values(vals, tail_ratio=r if r > 0 else None)
 
 
-def lemma22_coefficients(q: PmfSequence, K: int, max_tail_mass: float = 1e-9) -> list[Num]:
+def lemma22_coefficients(q: PmfSequence, K: int) -> list[Num]:
     """Coefficients c_k of E[(1 - z)**N] = sum_k c_k z**k for the pmf q.
 
     c_k = (-1)**k * sum_{n >= k} C(n, k) q_n. Terms beyond the stored range
     are summed in closed form when the pmf declares a geometric tail ratio;
-    otherwise the undeclared tail mass must stay below max_tail_mass, since
+    otherwise the undeclared tail mass must stay below 1e-9, since
     the binomial weights blow small omissions up.
     """
     if not isinstance(q, PmfSequence):
@@ -346,10 +348,10 @@ def lemma22_coefficients(q: PmfSequence, K: int, max_tail_mass: float = 1e-9) ->
     x = q.tail_ratio
     if x is None or q.values[-1] == 0:
         residual = 1 - sum(q.values)
-        if x is None and residual > max_tail_mass:
+        if x is None and residual > 1e-9:
             raise ValidationError(
                 f"pmf leaves mass {float(residual):.3g} beyond n={N} with no declared "
-                f"tail ratio; the alternating sums need tail mass below {max_tail_mass:.3g}"
+                "tail ratio; the alternating sums need tail mass below 1e-09"
             )
         x = None
     out: list[Num] = []

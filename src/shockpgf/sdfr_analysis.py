@@ -201,7 +201,7 @@ class PgfBounds:
     mean_shocks: Num
 
 
-def pgf_bounds(q: MixingDistribution, z, tol: float = 1e-10) -> PgfBounds:
+def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     """Pinch phi(z) between the two geometric-type curves it always respects.
 
     The kernel is concave in y, so the mean resistance gives an upper
@@ -210,7 +210,7 @@ def pgf_bounds(q: MixingDistribution, z, tol: float = 1e-10) -> PgfBounds:
     for a point mass at 1.
     """
     z = parse_number(z)
-    phi = pgf_eval(q, z, tol)  # refuses z outside (0, 1)
+    phi = pgf_eval(q, z)  # refuses z outside (0, 1)
     mean_y = integrate(q, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
     mean_shocks = expected_shocks(q)
     upper = z * mean_y / (1 - z + z * mean_y)
@@ -230,7 +230,7 @@ class LaplaceOrderBounds:
     upper_is_exponential: bool
 
 
-def laplace_order_bounds(q: MixingDistribution, lam, s, tol: float = 1e-10) -> LaplaceOrderBounds:
+def laplace_order_bounds(q: MixingDistribution, lam, s) -> LaplaceOrderBounds:
     """Bounds on the failure-time transform via the substitution z = lam/(lam+s).
 
     The same two-sided pinch as ``pgf_bounds``, read on the transform
@@ -239,5 +239,5 @@ def laplace_order_bounds(q: MixingDistribution, lam, s, tol: float = 1e-10) -> L
     """
     lam = require_positive(lam, "arrival rate lam")
     s = require_positive(s, "frequency s")
-    b = pgf_bounds(q, lam / (lam + s), tol)
+    b = pgf_bounds(q, lam / (lam + s))
     return LaplaceOrderBounds(s, lam, b.lower, b.phi, b.upper, b.upper_is_geometric)

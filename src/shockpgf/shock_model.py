@@ -32,6 +32,7 @@ from .measures import (
     mass_on,
     parse_number,
     require_int,
+    require_nonnegative,
     require_positive,
 )
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
@@ -57,13 +58,7 @@ class ShockModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", require_positive(self.lam, "arrival rate lam"))
         require_positive(self.series_tol, "series_tol", 1)
-        try:
-            grid = tuple(float(t) for t in self.time_grid)
-            ok = all(0 <= t < math.inf for t in grid)
-        except OverflowError:  # float(t) of an exact t past the float range
-            ok = False
-        if not ok:
-            raise ValidationError("time grid entries must be non-negative and finite")
+        grid = tuple(require_nonnegative(t, "time grid entries") for t in self.time_grid)
         object.__setattr__(self, "time_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
@@ -79,8 +74,7 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     of about 1e10 the rounded exponent is no longer monotone, and K is one
     such crossing, within a few of the first.
     """
-    if not 0 <= mu < math.inf:
-        raise ValidationError(f"mean mu={mu} must be non-negative and finite")
+    require_nonnegative(mu, "mean mu={}")
     require_positive(tol, "tol", 1)
     if mu == 0:
         return 0
@@ -114,9 +108,7 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     The table's cached ``violation`` (exact tails as rationals, before
     rounding) and ``floats`` make a whole curve validate and convert once.
     """
-    t = float(t)
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"time t={t} must be non-negative and finite")
+    t = require_nonnegative(t, "time t={}")
     require_tail(t_seq)
     mu = float(params.lam) * t
     if mu == 0:
@@ -141,11 +133,11 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     return min(max(acc, 0.0), 1.0)
 
 
-def laplace(q: MixingDistribution, lam, s, tol: float = 1e-10) -> Num:
+def laplace(q: MixingDistribution, lam, s) -> Num:
     """Failure-time transform E[exp(-s*T)], read off the p.g.f. at lam/(lam+s)."""
     lam = require_positive(lam, "arrival rate lam")
     s = require_positive(s, "frequency s")
-    return pgf_eval(q, lam / (lam + s), tol)
+    return pgf_eval(q, lam / (lam + s))
 
 
 def rate_mixture(q: MixingDistribution, lam) -> MixingDistribution:
@@ -169,13 +161,11 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
     (exp(-t*lo) - exp(-t*hi)) / t does.
     """
     t = parse_number(t)
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"time t={t} must be non-negative and finite")
+    tf = require_nonnegative(t, "time t={}")
     if t == 0:
         val = integrate(g, lambda y: Fraction(1) if is_exact(y) else 1.0,
                         lambda lo, hi, d: d * (hi - lo))
     else:
-        tf = float(t)
         val = integrate(g, lambda y: math.exp(-tf * float(y)),
                         lambda lo, hi, d: d * (math.exp(-tf * float(lo))
                                                * -math.expm1(-tf * float(hi - lo)) / tf))
@@ -185,14 +175,14 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
 
 
 def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J: int,
-                        n_points: int = 40, tol: float | None = None):
+                        n_points: int = 40):
     """Complete monotonicity of the survival skeleton S(0), S(delta), S(2*delta), ...
 
     Restricting a completely monotone function to an arithmetic grid gives
     a completely monotone sequence, so this checks a necessary face of the
     continuous-time property at any grid resolution. Returns the same
-    (verdict, first_violation) pair as ``is_completely_monotone``; tol
-    defaults to 1e-9 times the largest skeleton value.
+    (verdict, first_violation) pair as ``is_completely_monotone`` at tol
+    1e-9, which is 1e-9 times the largest skeleton value S(0) = 1.
 
     Every ``survival`` call reads the table's cached validity and floats.
     """
@@ -201,25 +191,13 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
     if require_int(n_points, "skeleton length") < J + 1:
         raise ValidationError(f"need n_points >= J+1 = {J + 1}, have {n_points}")
     u = [survival(t_seq, params, n * delta) for n in range(n_points)]
-    if tol is None:
-        tol = 1e-9 * max(abs(x) for x in u)
-    return is_completely_monotone(u, J, tol)
+    return is_completely_monotone(u, J, 1e-9)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     import numpy as np
     key = np.array([seed & _KEY_MASK, index & _KEY_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _blocks(n: int):
-    b = 0
-    start = 0
-    while start < n:
-        count = min(_BLOCK, n - start)
-        yield b, start, count
-        b += 1
-        start += count
 
 
 def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | None) -> np.ndarray:
@@ -329,15 +307,14 @@ class SimulatedPgf(_SimulatedCurve):
 
 
 def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: int, seed: int,
-                           tail_model: str = "none", K: int = 200,
-                           max_truncation_mass: float = 1e-6) -> SimulatedSurvival:
+                           tail_model: str = "none", K: int = 200) -> SimulatedSurvival:
     """Monte Carlo for the shock model against its analytic survival.
 
     Each replicate draws the failing shock index J by inverting the tail
     sequence of q, then the failure time as a gamma(J, 1/lam) variate.
     tail_model says how to continue the tails beyond order K: "geometric"
     (ratio matched at K), "harmonic" (1/(k+1) decay matched at K), or
-    "none", which insists the leftover mass is below max_truncation_mass.
+    "none", which insists the leftover mass is below 1e-6.
 
     Replicates are generated in fixed-size blocks, each from its own
     counter-based stream derived from (seed, block), so the output depends
@@ -354,18 +331,17 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     tail = np.array(t_seq.floats)
     leftover = tail[-1]
     ratio = None
-    if tail_model == "none" and leftover > max_truncation_mass:
-        raise NumericError(
-            f"mass {leftover:.3g} survives beyond order K={K}, above the "
-            f"{max_truncation_mass:.3g} cutoff; pass a tail_model or raise K"
-        )
+    if tail_model == "none" and leftover > 1e-6:
+        raise NumericError(f"mass {leftover:.3g} survives beyond order K={K}, above the "
+                           "1e-06 cutoff; pass a tail_model or raise K")
     if tail_model == "geometric" and leftover > 0:
         if len(tail) < 2 or not 0 < tail[-1] < tail[-2]:
             raise NumericError("geometric tail model needs a strictly decreasing positive tail at K")
         ratio = float(tail[-1] / tail[-2])
     lam = float(params.lam)
     times = np.empty(n)
-    for b, start, count in _blocks(n):
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        count = min(_BLOCK, n - start)
         u = np.maximum(_stream(seed, 2 * b).random(count), 1e-300)
         j = _invert_tail(tail, u, tail_model, ratio)
         gaps = _stream(seed, 2 * b + 1).gamma(shape=j.astype(np.float64), scale=1.0 / lam)
@@ -379,8 +355,7 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     return SimulatedSurvival(params.time_grid, tuple(emp), tuple(se), tuple(ana), n, seed)
 
 
-def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
-                        tol: float = 1e-10) -> SimulatedPgf:
+def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedPgf:
     """Simulate the first-success count with success chance drawn from q.
 
     Requires q supported in (0, 1]. Each replicate draws y from q and then
@@ -397,7 +372,8 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
     if not zs:
         raise ValidationError("z grid must be non-empty")
     counts = np.empty(n, dtype=np.int64)
-    for b, start, count in _blocks(n):
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        count = min(_BLOCK, n - start)
         y = sample_locations(q, count, _stream(seed, 2 * b))
         y = np.clip(y, 1e-12, 1.0)
         counts[start:start + count] = _stream(seed, 2 * b + 1).geometric(y)
@@ -406,7 +382,7 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int,
         vals = np.power(z, counts.astype(np.float64))
         emp.append(float(np.mean(vals)))
         se.append(float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
-        ana.append(float(pgf_eval(q, z, tol)))
+        ana.append(float(pgf_eval(q, z)))
     return SimulatedPgf(tuple(zs), tuple(emp), tuple(se), tuple(ana), n, seed)
 
 

@@ -291,3 +291,28 @@ def test_version_flag():
     res = run("--version")
     assert res.exit_code == 0
     assert "0.1.0" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("pgf", "--tol", "1e-12"),
+    ("laplace", "--tol", "1e-12"),
+    ("bounds", "--z", "0.5", "--tol", "1e-12"),
+    ("survival", "--series-tol", "1e-13"),
+    ("skeleton", "--series-tol", "1e-12"),
+    ("simulate", "--n", "10", "--series-tol", "1e-13"),
+])
+def test_numeric_budgets_are_not_options(args):
+    """Each budget is fixed where it is used; the options that set them are gone."""
+    res = run(args[0], "--dist", HALF_ATOM, *args[1:])
+    assert res.exit_code == 2
+    assert "No such option" in err_text(res)
+
+
+@pytest.mark.parametrize("args", [
+    ("cm-check", "--tol", "0"),
+    ("skeleton", "--n-points", "12"),
+    ("survival", "--K", "300"),
+])
+def test_options_that_choose_the_question_stay(args):
+    res = run(args[0], "--dist", HALF_ATOM, *args[1:])
+    assert res.exit_code == 0, err_text(res)

@@ -285,7 +285,7 @@ def test_pgf_bounds_seeded_grid():
         q = random_unit_support(random.Random(seed))
         assert mass_on(q, 0, 1, include_hi=True) == 1
         for z in grid:
-            b = pgf_bounds(q, z, 1e-11)
+            b = pgf_bounds(q, z)
             assert float(b.lower) <= float(b.phi) + 1e-9, (seed, z)
             assert float(b.phi) <= float(b.upper) + 1e-9, (seed, z)
             assert b.upper_is_geometric  # EY <= 1 on unit support

@@ -160,8 +160,10 @@ def test_survival_past_poisson_underflow(mu):
     assert got > 4e-4
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(F(10**400), id="past-float-range")])
 def test_non_finite_times_are_refused(bad):
+    """F(10**400) is exact and finite, but past the float range the series works in."""
     t_seq = tail_sequence(CE, 10)
     params = ShockModelParams(lam=1)
     with pytest.raises(ValidationError, match="finite"):
