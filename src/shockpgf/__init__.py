@@ -1,131 +1,47 @@
-"""Mixture p.g.f. toolkit: measures, resistance tails, monotonicity, shock models."""
+"""Mixture p.g.f. toolkit: measures, resistance tails, monotonicity, shock models.
 
-from .errors import NumericError, QuadratureError, ValidationError
-from .measures import (
-    MASS_TOL,
-    Atom,
-    MixingDistribution,
-    Num,
-    Segment,
-    is_exact,
-    jsonable,
-    mass_on,
-    mix,
-    parse_number,
-    point_mass,
-    quadrature,
-    render,
-    uniform_density,
-)
-from .pgf_core import (
-    CounterexampleParams,
-    PmfSequence,
-    TailSequence,
-    counterexample_Q,
-    counterexample_params,
-    counterexample_tail,
-    counterexample_tail_sequence,
-    geometric_pmf,
-    kernel,
-    lemma22_coefficients,
-    monotonicity_condition,
-    pgf_eval,
-    pmf_from_tail,
-    resistance_gf,
-    tail_sequence,
-    tail_violation,
-)
-from .sdfr_analysis import (
-    VERDICT_CANDIDATE,
-    VERDICT_NOT_PGF,
-    VERDICT_UNIT_SUPPORT,
-    DifferenceTable,
-    LaplaceOrderBounds,
-    PgfBounds,
-    SupportClassification,
-    classify_support,
-    difference_table,
-    expected_shocks,
-    is_completely_monotone,
-    laplace_order_bounds,
-    pgf_bounds,
-    tail_validity,
-)
-from .shock_model import (
-    ShockModelParams,
-    SimulatedPgf,
-    SimulatedSurvival,
-    exp_mixture_survival,
-    laplace,
-    poisson_truncation_order,
-    rate_mixture,
-    sample_locations,
-    sdfr_skeleton_check,
-    simulate_de_finetti,
-    simulate_failure_times,
-    survival,
-)
+Each public name is listed once, under the module that defines it; ``import shockpgf``
+loads that module the first time one of its names is read (PEP 562).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "CounterexampleParams",
-    "DifferenceTable",
-    "LaplaceOrderBounds",
-    "MASS_TOL",
-    "MixingDistribution",
-    "Num",
-    "NumericError",
-    "PgfBounds",
-    "PmfSequence",
-    "QuadratureError",
-    "Segment",
-    "ShockModelParams",
-    "SimulatedPgf",
-    "SimulatedSurvival",
-    "SupportClassification",
-    "TailSequence",
-    "ValidationError",
-    "VERDICT_CANDIDATE",
-    "VERDICT_NOT_PGF",
-    "VERDICT_UNIT_SUPPORT",
-    "classify_support",
-    "counterexample_Q",
-    "counterexample_params",
-    "counterexample_tail",
-    "counterexample_tail_sequence",
-    "difference_table",
-    "exp_mixture_survival",
-    "expected_shocks",
-    "geometric_pmf",
-    "is_completely_monotone",
-    "is_exact",
-    "jsonable",
-    "kernel",
-    "laplace",
-    "laplace_order_bounds",
-    "lemma22_coefficients",
-    "mass_on",
-    "mix",
-    "monotonicity_condition",
-    "parse_number",
-    "pgf_bounds",
-    "pgf_eval",
-    "pmf_from_tail",
-    "point_mass",
-    "poisson_truncation_order",
-    "quadrature",
-    "rate_mixture",
-    "render",
-    "resistance_gf",
-    "sample_locations",
-    "sdfr_skeleton_check",
-    "simulate_de_finetti",
-    "simulate_failure_times",
-    "survival",
-    "tail_sequence",
-    "tail_validity",
-    "tail_violation",
-    "uniform_density",
-]
+_EXPORTS = {
+    "errors": ("NumericError", "QuadratureError", "ValidationError"),
+    "measures": ("MASS_TOL", "Atom", "MixingDistribution", "Num", "Segment", "is_exact",
+                 "jsonable", "mass_on", "mix", "parse_number", "point_mass", "quadrature",
+                 "render", "uniform_density"),
+    "pgf_core": ("CounterexampleParams", "PmfSequence", "TailSequence", "counterexample_Q",
+                 "counterexample_params", "counterexample_tail",
+                 "counterexample_tail_sequence", "geometric_pmf", "kernel",
+                 "lemma22_coefficients", "monotonicity_condition", "pgf_eval",
+                 "pmf_from_tail", "resistance_gf", "tail_sequence"),
+    "sdfr_analysis": ("VERDICT_CANDIDATE", "VERDICT_NOT_PGF", "VERDICT_UNIT_SUPPORT",
+                      "DifferenceTable", "LaplaceOrderBounds", "PgfBounds",
+                      "SupportClassification", "classify_support", "difference_table",
+                      "expected_shocks", "is_completely_monotone", "laplace_order_bounds",
+                      "pgf_bounds", "tail_validity"),
+    "shock_model": ("ShockModelParams", "SimulatedCurve", "exp_mixture_survival", "laplace",
+                    "poisson_truncation_order", "rate_mixture", "sample_locations",
+                    "sdfr_skeleton_check", "simulate_de_finetti", "simulate_failure_times",
+                    "survival"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name``; a module of ``_EXPORTS`` is itself a name."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

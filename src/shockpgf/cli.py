@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import click
@@ -120,8 +121,17 @@ def _write(out: str, text: str) -> None:
 
 def _emit(out: str, fmt: str, doc, csv) -> None:
     """Write the requested format; ``doc`` and ``csv`` are thunks and only that one runs.
-    ``jsonable`` renders the laws, Fractions and reports that ``json`` cannot encode."""
-    _write(out, json.dumps(doc(), indent=2, default=jsonable) + "\n" if fmt == "json" else csv())
+    ``jsonable`` renders the laws, Fractions and reports that ``json`` cannot encode. Exact
+    results pass the 4300-digit limit on int-to-text of Python 3.10.7+, so the limit is
+    lifted for this render only: it still guards the parsing of every input."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)  # absent before 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit(0)
+    try:
+        text = json.dumps(doc(), indent=2, default=jsonable) + "\n" if fmt == "json" else csv()
+    finally:
+        set_limit(limit)
+    _write(out, text)
 
 
 def io_options(default_format: str):

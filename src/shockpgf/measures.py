@@ -215,21 +215,11 @@ class MixingDistribution:
                 raise ValidationError(f"{where} is missing field {field!r}")
             return parse_number(entry[field])
 
-        atoms = []
-        for i, entry in enumerate(doc.get("atoms") or []):
-            where = f"atoms[{i}]"
-            atoms.append(Atom(grab(entry, "y", where), grab(entry, "p", where)))
-        segments = []
-        for i, entry in enumerate(doc.get("segments") or []):
-            where = f"segments[{i}]"
-            segments.append(
-                Segment(
-                    grab(entry, "lo", where),
-                    grab(entry, "hi", where),
-                    grab(entry, "density", where),
-                )
-            )
-        return cls(tuple(atoms), tuple(segments))
+        def parts(key: str, kind) -> tuple:  # the JSON keys are the fields ``jsonable`` writes
+            return tuple(kind(*(grab(entry, f.name, f"{key}[{i}]") for f in fields(kind)))
+                         for i, entry in enumerate(doc.get(key) or []))
+
+        return cls(parts("atoms", Atom), parts("segments", Segment))
 
 
 def point_mass(y) -> MixingDistribution:

@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise, repeat
 from operator import add, floordiv, mul
 from typing import Iterator
@@ -89,6 +89,13 @@ def resistance_gf(q: MixingDistribution, z) -> Num:
     return (1 - pgf_eval(q, z)) / (1 - z)
 
 
+@lru_cache(maxsize=64)
+def _lcm_through(n: int) -> int:
+    """lcm(1, 2, ..., n), worked out once per n: every CM check of a table of K+1
+    entries built by ``tail_sequence`` needs lcm(1..K+1)."""
+    return math.lcm(*range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class TailSequence:
     """Tails u_k = P(count > k), k = 0..K; exact means every entry is rational.
@@ -116,14 +123,29 @@ class TailSequence:
 
     @cached_property
     def violation(self) -> str | None:
-        """``tail_violation`` of the entries, scanned only when the gcd-free
-        test on ``_scaled``, n_0 == M*B, n_k >= 0, n_{k+1}*(k+1) <= n_k*B*(k+2), fails."""
+        """Why the entries are not the tail of a positive count, or None. A valid tail
+        starts at 1, never increases, stays non-negative and holds no NaN. With ``_scaled``
+        the entries are scanned only when the gcd-free test on the numerators, n_0 == M*B,
+        n_k >= 0, n_{k+1}*(k+1) <= n_k*B*(k+2), fails."""
         if self._scaled is not None:
             n, M, B = self._scaled
             if n[0] == M * B and all(x >= 0 for x in n) and all(
                     b * (k + 1) <= a * B * (k + 2) for k, (a, b) in enumerate(pairwise(n))):
                 return None
-        return tail_violation(self.values)
+        vals = self.values
+        if not vals:
+            return "sequence is empty"
+        if vals[0] != 1:
+            return f"entry k=0 is {float(vals[0])!r}, expected 1"
+        for k, v in enumerate(vals):
+            if v != v:
+                return f"entry k={k} is NaN"
+            if v < 0:
+                return f"entry k={k} is negative ({float(v)!r})"
+        for k in range(len(vals) - 1):
+            if vals[k + 1] > vals[k]:
+                return f"sequence increases from k={k} to k={k + 1}"
+        return None
 
     @cached_property
     def floats(self) -> tuple[float, ...]:
@@ -144,7 +166,7 @@ class TailSequence:
             return (v.numerator * (D // v.denominator) for v in self.values), D
         n, M, B = self._scaled
         K = len(n) - 1
-        L, B_pow = math.lcm(*range(1, K + 2)), B**K
+        L, B_pow = _lcm_through(K + 1), B**K
         N = map(mul, map(mul, n, map(floordiv, repeat(L), range(1, K + 2))),
                 accumulate(repeat(B, K), floordiv, initial=B_pow))
         return N, M * L * B_pow * B
@@ -200,34 +222,10 @@ class PmfSequence:
         return len(self.values) - 1
 
 
-def tail_violation(values) -> str | None:
-    """Why the sequence fails to be the tail of a positive count, or None.
-
-    A valid tail starts at 1, never increases, stays non-negative and holds no NaN.
-    """
-    if isinstance(values, TailSequence):
-        return values.violation
-    vals = tuple(values)
-    if not vals:
-        return "sequence is empty"
-    if vals[0] != 1:
-        return f"entry k=0 is {float(vals[0])!r}, expected 1"
-    for k, v in enumerate(vals):
-        if v != v:
-            return f"entry k={k} is NaN"
-        if v < 0:
-            return f"entry k={k} is negative ({float(v)!r})"
-    for k in range(len(vals) - 1):
-        if vals[k + 1] > vals[k]:
-            return f"sequence increases from k={k} to k={k + 1}"
-    return None
-
-
-def require_tail(values) -> None:
-    """Raise ValidationError with the reason when ``tail_violation`` finds one."""
-    reason = tail_violation(values)
-    if reason is not None:
-        raise ValidationError(f"not a valid tail sequence: {reason}")
+def require_tail(t: TailSequence) -> None:
+    """Raise ValidationError with the table's ``violation`` when it has one."""
+    if t.violation is not None:
+        raise ValidationError(f"not a valid tail sequence: {t.violation}")
 
 
 @numbers.Rational.register
@@ -278,9 +276,9 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     / (k+1) on segments; running float powers would round differently and
     change published tails.
 
-    The moment formula is applied to whatever support q has; use
-    ``tail_violation`` or the analysis helpers to decide whether the result
-    is a genuine tail sequence.
+    The moment formula is applied to whatever support q has; use the table's
+    ``violation`` or the analysis helpers to decide whether the result is a
+    genuine tail sequence.
     """
     require_int(K, "truncation order")
     if not q.exact:

@@ -29,7 +29,7 @@ from .measures import (
     require_int,
     require_positive,
 )
-from .pgf_core import TailSequence, pgf_eval, tail_violation
+from .pgf_core import TailSequence, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
 VERDICT_UNIT_SUPPORT = "sdfr_support_in_unit"
@@ -130,9 +130,12 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
 
 
 def tail_validity(u) -> tuple[bool, str | None]:
-    """Whether u is a genuine tail sequence of a positive count (see ``tail_violation``)."""
-    reason = tail_violation(u)
-    return reason is None, reason
+    """Whether u is a genuine tail sequence of a positive count, and the reason when it
+    is not: ``TailSequence.violation``, with a plain sequence wrapped first."""
+    if not isinstance(u, TailSequence):
+        vals = tuple(u)  # ``from_values`` refuses no entries; the empty table's violation names it
+        u = TailSequence.from_values(vals) if vals else TailSequence((), True)
+    return u.violation is None, u.violation
 
 
 @dataclass(frozen=True)

@@ -259,18 +259,23 @@ def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) ->
     return out
 
 
-class _SimulatedCurve:
-    """Report shared by both simulators: one row per grid point.
+@dataclass(frozen=True)
+class SimulatedCurve:
+    """A simulator's report, one row per grid point: the empirical curve, its standard
+    error and the analytic curve. ``column`` names the grid: "t" for shock-model
+    survival over time, "z" for the generating function of a first-success count."""
 
-    ``_grid`` names the grid column and the field that holds it.
-    """
-
-    _grid: tuple[str, str]
+    column: str
+    grid: tuple[float, ...]
+    empirical: tuple[float, ...]
+    std_err: tuple[float, ...]
+    analytic: tuple[float, ...]
+    n: int
+    seed: int
 
     def _columns_rows(self):
-        column, field = self._grid
-        rows = zip(getattr(self, field), self.empirical, self.std_err, self.analytic)
-        return (column, "empirical", "std_err", "analytic"), rows
+        rows = zip(self.grid, self.empirical, self.std_err, self.analytic)
+        return (self.column, "empirical", "std_err", "analytic"), rows
 
     def to_csv(self) -> str:
         return csv_text(*self._columns_rows())
@@ -280,34 +285,8 @@ class _SimulatedCurve:
         return {"n": self.n, "seed": self.seed, "rows": [dict(zip(columns, r)) for r in rows]}
 
 
-@dataclass(frozen=True)
-class SimulatedSurvival(_SimulatedCurve):
-    """Empirical shock-model survival on a time grid, with its exact counterpart."""
-
-    times: tuple[float, ...]
-    empirical: tuple[float, ...]
-    std_err: tuple[float, ...]
-    analytic: tuple[float, ...]
-    n: int
-    seed: int
-    _grid = ("t", "times")
-
-
-@dataclass(frozen=True)
-class SimulatedPgf(_SimulatedCurve):
-    """Empirical generating function of a simulated first-success count."""
-
-    z: tuple[float, ...]
-    empirical: tuple[float, ...]
-    std_err: tuple[float, ...]
-    analytic: tuple[float, ...]
-    n: int
-    seed: int
-    _grid = ("z", "z")
-
-
 def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: int, seed: int,
-                           tail_model: str = "none", K: int = 200) -> SimulatedSurvival:
+                           tail_model: str = "none", K: int = 200) -> SimulatedCurve:
     """Monte Carlo for the shock model against its analytic survival.
 
     Each replicate draws the failing shock index J by inverting the tail
@@ -352,10 +331,10 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         emp.append(p)
         se.append(math.sqrt(p * (1.0 - p) / n))
         ana.append(survival(t_seq, params, t))
-    return SimulatedSurvival(params.time_grid, tuple(emp), tuple(se), tuple(ana), n, seed)
+    return SimulatedCurve("t", params.time_grid, tuple(emp), tuple(se), tuple(ana), n, seed)
 
 
-def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedPgf:
+def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedCurve:
     """Simulate the first-success count with success chance drawn from q.
 
     Requires q supported in (0, 1]. Each replicate draws y from q and then
@@ -383,7 +362,7 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> Sim
         emp.append(float(np.mean(vals)))
         se.append(float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
         ana.append(float(pgf_eval(q, z)))
-    return SimulatedPgf(tuple(zs), tuple(emp), tuple(se), tuple(ana), n, seed)
+    return SimulatedCurve("z", tuple(zs), tuple(emp), tuple(se), tuple(ana), n, seed)
 
 
 def _check_sim_args(n, seed) -> None:

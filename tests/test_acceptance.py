@@ -201,7 +201,7 @@ def test_criterion_09_monte_carlo(capsys):
         params = ShockModelParams(lam=1, time_grid=(0.5, 1.0, 2.0, 4.0))
         sim = simulate_failure_times(CE, params, 100000, 2026,
                                      tail_model="harmonic", K=200)
-        for t, e, se, a in zip(sim.times, sim.empirical, sim.std_err, sim.analytic):
+        for t, e, se, a in zip(sim.grid, sim.empirical, sim.std_err, sim.analytic):
             assert abs(e - a) < 3 * se, (t, e, a, se)
         failure_time = time.perf_counter() - start
         assert failure_time < 10.0
@@ -209,7 +209,7 @@ def test_criterion_09_monte_carlo(capsys):
         start = time.perf_counter()
         definetti = simulate_de_finetti(uniform_density(0, 1),
                                         ("1/4", "1/2", "3/4"), 100000, 7)
-        for z, e, se, a in zip(definetti.z, definetti.empirical,
+        for z, e, se, a in zip(definetti.grid, definetti.empirical,
                                definetti.std_err, definetti.analytic):
             assert abs(e - a) < 3 * se, (z, e, a, se)
         definetti_time = time.perf_counter() - start

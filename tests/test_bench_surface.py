@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from shockpgf import DifferenceTable, MixingDistribution, SimulatedSurvival, TailSequence
+from shockpgf import DifferenceTable, MixingDistribution, SimulatedCurve, TailSequence
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -120,5 +120,5 @@ def test_bench_report_serialisers(cls):
 
 
 def test_bench_simulated_survival_surface():
-    assert callable(SimulatedSurvival.to_csv)
-    assert {"empirical", "analytic", "n"} <= {f.name for f in fields(SimulatedSurvival)}
+    assert callable(SimulatedCurve.to_csv)
+    assert {"empirical", "analytic", "n"} <= {f.name for f in fields(SimulatedCurve)}

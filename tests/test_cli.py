@@ -2,6 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,15 +15,16 @@ from click.testing import CliRunner
 from shockpgf import (
     DifferenceTable,
     MixingDistribution,
-    SimulatedPgf,
-    SimulatedSurvival,
+    SimulatedCurve,
     TailSequence,
     counterexample_Q,
     counterexample_params,
+    counterexample_tail,
     pgf_core,
     point_mass,
     sdfr_analysis,
     shock_model,
+    tail_sequence,
 )
 from shockpgf import cli as cli_module
 from shockpgf.cli import cli
@@ -256,8 +263,7 @@ def test_json_request_never_builds_csv(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(RENDER_COMMANDS))
 def test_csv_request_never_builds_json(case, monkeypatch):
-    for cls in (MixingDistribution, TailSequence, DifferenceTable, SimulatedSurvival,
-                SimulatedPgf):
+    for cls in (MixingDistribution, TailSequence, DifferenceTable, SimulatedCurve):
         monkeypatch.setattr(cls, "to_json_dict", _refuse)
     monkeypatch.setattr(cli_module, "jsonable", _refuse)
     res = run(*RENDER_COMMANDS[case], "--format", "csv")
@@ -316,3 +322,61 @@ def test_numeric_budgets_are_not_options(args):
 def test_options_that_choose_the_question_stay(args):
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])
     assert res.exit_code == 0, err_text(res)
+
+
+# Exact outputs past CPython's 4300-digit limit on int-to-text conversion (3.10.7+).
+# These run as fresh processes, so the limit is the interpreter's default.
+SRC = Path(__file__).resolve().parents[1] / "src"
+B6_LAW = MixingDistribution.from_json_dict(
+    {"atoms": [{"y": "1/3", "p": "1/2"}, {"y": "1/2", "p": "1/2"}], "segments": []})
+
+
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "shockpgf.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@contextmanager
+def unlimited_digits():
+    """Parse the expected huge integers here without touching the limit elsewhere."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
+def test_tails_past_the_digit_limit_print():
+    """At K = 5600 the B = 6 law's denominators pass 4300 digits; every entry reads back,
+    from CSV and from JSON."""
+    law = json.dumps(B6_LAW.to_json_dict())
+    csv_res, json_res = (run_process("tail", "--dist", law, "--K", "5600", "--format", fmt)
+                         for fmt in ("csv", "json"))
+    for res in (csv_res, json_res):
+        assert res.returncode == 0, res.stderr[-2000:]
+    want = tail_sequence(B6_LAW, 5600).values
+    assert want[-1].denominator > 10**4300
+    cells = [line.split(",")[1] for line in csv_res.stdout.splitlines()[1:]]
+    assert [str(e["value"]) for e in json.loads(json_res.stdout)["tail"]["entries"]] == cells
+    with unlimited_digits():
+        assert tuple(map(Fraction, cells)) == want
+
+
+def test_counterexample_past_the_digit_limit_prints():
+    res = run_process("counterexample", "--alpha", "1/7", "--beta", "2/3", "--K", "6000",
+                      "--format", "csv")
+    assert res.returncode == 0, res.stderr[-2000:]
+    k, value, _ = res.stdout.rsplit("\n", 2)[-2].split(",")
+    with unlimited_digits():
+        assert (int(k), Fraction(value)) == (6000, counterexample_tail(counterexample_params(
+            "1/7", "2/3"), 6000))
+
+
+def test_inputs_past_the_digit_limit_are_still_refused():
+    res = run_process("counterexample", "--alpha", "1/" + "7" * 5000, "--beta", "2/3",
+                      "--K", "6")
+    assert res.returncode == 2
+    assert "cannot parse number" in res.stderr

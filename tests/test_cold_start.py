@@ -1,12 +1,20 @@
-"""The package and its CLI start without numpy; only the simulators load it."""
+"""The package and its CLI start without numpy; only the simulators load it.
 
+``import shockpgf`` loads no module: each public name is read from the module that
+defines it, the first time it is asked for.
+"""
+
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import shockpgf
 from shockpgf.measures import _NODES, _WEIGHTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -23,6 +31,55 @@ def test_import_leaves_numpy_unloaded():
     res = run_python("-c", "import shockpgf, shockpgf.cli, sys; "
                            "assert 'numpy' not in sys.modules")
     assert res.returncode == 0, res.stderr
+
+
+# Reading one name loads its module and what that module imports, nothing more.
+BARE_IMPORT = """
+import sys
+import shockpgf
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(("shockpgf.", "numpy")))
+assert loaded() == [], loaded()
+shockpgf.tail_sequence
+assert loaded() == ["shockpgf.errors", "shockpgf.measures", "shockpgf.pgf_core"], loaded()
+"""
+
+
+def test_bare_import_loads_no_module():
+    res = run_python("-c", BARE_IMPORT)
+    assert res.returncode == 0, res.stderr
+
+
+def test_submodules_resolve_after_a_bare_import():
+    res = run_python("-c", "import shockpgf\n"
+                           "for name in ('errors', 'measures', 'pgf_core', 'sdfr_analysis', "
+                           "'shock_model'):\n"
+                           "    assert getattr(shockpgf, name).__name__ == 'shockpgf.' + name\n"
+                           "assert shockpgf.pgf_core.tail_sequence is shockpgf.tail_sequence")
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("name", shockpgf.__all__)
+def test_every_export_is_its_modules_object(name):
+    home = importlib.import_module(f"shockpgf.{shockpgf._HOME[name]}")
+    obj = getattr(shockpgf, name)
+    assert obj is getattr(home, name)
+    if isinstance(obj, type) or inspect.isfunction(obj):  # defined there, not imported
+        assert obj.__module__ == home.__name__
+    assert name in dir(shockpgf)
+
+
+def test_exports_are_listed_once():
+    listed = [name for names in shockpgf._EXPORTS.values() for name in names]
+    assert sorted(listed) == sorted(set(listed)) == sorted(shockpgf.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("tail_violation", "SimulatedSurvival", "SimulatedPgf", "no_such_name"):
+        assert not hasattr(shockpgf, name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(shockpgf, name)
+    with pytest.raises(ImportError):
+        exec("from shockpgf import tail_violation", {})
 
 
 def test_exact_command_runs_without_numpy():

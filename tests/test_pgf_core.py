@@ -33,7 +33,6 @@ from shockpgf import (
     survival,
     tail_sequence,
     tail_validity,
-    tail_violation,
     uniform_density,
 )
 from shockpgf.families import (
@@ -210,7 +209,7 @@ _tols = st.one_of(st.sampled_from((0, math.inf)), st.fractions(0, 1, max_denomin
 def test_cached_facts_equal_reference_paths(q, K, tol):
     """Validity and the integer form read off the numerators equal the Fraction routes."""
     t = tail_sequence(q, K)
-    assert t.violation == tail_violation(t.values)
+    assert t.violation == TailSequence.from_values(t.values).violation
     N, D = t.integers
     N = list(N)  # made lazily, in k order
     assert len(N) == K + 1 and all(F(n, D) == v for n, v in zip(N, t.values))
@@ -269,8 +268,9 @@ def test_lowest_terms_of_high_powers_of_the_base(m, a, b, B, X, e):
 
 def test_nan_entries_are_named_and_refused():
     assert tail_validity([1.0, math.nan, 0.5]) == (False, "entry k=1 is NaN")
+    assert TailSequence.from_values([1.0, math.nan, 0.5]).violation == "entry k=1 is NaN"
     with pytest.raises(ValidationError, match="entry k=1 is NaN"):
-        require_tail([1.0, math.nan, 0.5])
+        require_tail(TailSequence.from_values([1.0, math.nan, 0.5]))
     for check in (is_completely_monotone, difference_table):
         with pytest.raises(ValidationError, match="entry k=1 is NaN"):
             check([1.0, math.nan, 0.5, 0.25], 3)
@@ -282,9 +282,10 @@ def test_nan_entries_are_named_and_refused():
 def test_validators_accept_a_table():
     good, bad = tail_sequence(CE, 6), tail_sequence(point_mass("5/2"), 4)
     require_tail(good)
-    assert tail_violation(good) is None and tail_validity(good) == (True, None)
+    assert good.violation is None and tail_validity(good) == (True, None)
     reason = "entry k=1 is negative (-1.5)"
-    assert tail_violation(bad) == reason and tail_validity(bad) == (False, reason)
+    assert bad.violation == reason and tail_validity(bad) == (False, reason)
+    assert tail_validity(bad.values) == (False, reason)
 
 
 def test_cached_facts_stay_out_of_equality_and_pickle_with_the_table():
@@ -312,10 +313,25 @@ def test_invalid_table_is_refused_on_every_call():
 
 
 def test_tail_violation_reasons():
-    assert tail_violation((1, F(1, 2), F(1, 4))) is None
-    assert "expected 1" in tail_violation((F(1, 2), F(1, 4)))
-    assert "negative" in tail_violation((1, F(-1, 4)))
-    assert "increases" in tail_violation((1, F(1, 4), F(1, 2)))
+    """The reasons ``TailSequence.violation`` gives, and ``tail_validity`` passes on."""
+    cases = {
+        (1, F(1, 2), F(1, 4)): None,
+        (F(1, 2), F(1, 4)): "entry k=0 is 0.5, expected 1",
+        (1, F(-1, 4)): "entry k=1 is negative (-0.25)",
+        (1, F(1, 4), F(1, 2)): "sequence increases from k=1 to k=2",
+    }
+    for values, reason in cases.items():
+        assert TailSequence.from_values(values).violation == reason
+        assert tail_validity(values) == (reason is None, reason)
+        assert tail_validity(iter(values)) == (reason is None, reason)
+
+
+def test_empty_sequence_is_not_a_tail():
+    assert tail_validity([]) == (False, "sequence is empty")
+    assert tail_validity(iter(())) == (False, "sequence is empty")
+    assert TailSequence((), True).violation == "sequence is empty"
+    with pytest.raises(ValidationError, match="at least one entry"):
+        TailSequence.from_values([])
 
 
 def test_pmf_from_tail_geometric():

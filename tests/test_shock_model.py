@@ -277,7 +277,7 @@ def test_invert_tail_body_and_continuations():
 def test_simulate_failure_times_unit_atom():
     params = ShockModelParams(lam=1, time_grid=(0.5, 1.0, 2.0))
     sim = simulate_failure_times(point_mass(1), params, 20000, 7, K=50)
-    for t, e, se, a in zip(sim.times, sim.empirical, sim.std_err, sim.analytic):
+    for t, e, se, a in zip(sim.grid, sim.empirical, sim.std_err, sim.analytic):
         assert abs(a - math.exp(-t)) < 1e-10
         assert abs(e - a) < 3 * se
 
@@ -353,9 +353,9 @@ def test_simulated_survival_report_shapes():
 
 def test_de_finetti_unit_atom_is_exact():
     sim = simulate_de_finetti(point_mass(1), (0.25, 0.5, 0.75), 400, 9)
-    assert sim.empirical == sim.z  # N == 1 with certainty, so mean z**N == z
+    assert sim.empirical == sim.grid  # N == 1 with certainty, so mean z**N == z
     assert sim.std_err == (0.0, 0.0, 0.0)
-    assert sim.analytic == sim.z
+    assert sim.analytic == sim.grid
 
 
 def test_de_finetti_matches_pgf():
