@@ -14,6 +14,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import QuadratureError, ValidationError
 
@@ -143,7 +145,9 @@ class MixingDistribution:
     mass at a strictly positive location, segments are disjoint with
     non-negative density, and the total mass is one (exactly for rational
     data, within MASS_TOL otherwise). Atoms and segments are stored sorted
-    by location.
+    by location. ``_live_segments`` and ``_means`` are worked out once and kept
+    (the law is frozen and holds immutable numbers); they are not fields, so
+    they stay out of equality, hashing, repr, JSON and pickles.
     """
 
     atoms: tuple[Atom, ...] = ()
@@ -201,6 +205,26 @@ class MixingDistribution:
     @property
     def total_mass(self) -> Num:
         return sum(a.p for a in self.atoms) + sum(s.mass for s in self.segments)
+
+    @cached_property
+    def _live_segments(self) -> tuple[tuple[float, float, float], ...]:
+        """Segments with positive density as float (lo, hi, density) triples."""
+        return tuple((float(s.lo), float(s.hi), float(s.density))
+                     for s in self.segments if s.density > 0)
+
+    @cached_property
+    def _means(self) -> tuple[Num, Num]:
+        """(E[Y], E[1/Y]), exact for exact data; E[1/Y] is math.inf when a segment with
+        positive density starts at 0, and a segment [lo, hi) with lo > 0 gives it
+        density * log1p((hi-lo)/lo), which keeps a narrow segment's relative accuracy."""
+        mean_y = integrate(self, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
+        if any(s.lo == 0 and s.density > 0 for s in self.segments):
+            return mean_y, math.inf
+        return mean_y, integrate(self, lambda y: 1 / y,
+                                 lambda lo, hi, d: d * math.log1p((hi - lo) / lo))
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_dict(self) -> dict:
         return jsonable(self)
@@ -280,10 +304,10 @@ _WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.139
 _MAX_DEPTH = 48
 
 
-def _panel(g: Callable[[float], float], a: float, b: float) -> float:
+def _panel(g: Callable[[list[float]], Sequence[float]], a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * math.fsum(w * g(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
+    return half * math.fsum(map(mul, _WEIGHTS, g([mid + half * x for x in _NODES])))
 
 
 def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> float:
@@ -299,12 +323,15 @@ def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> floa
     )
 
 
-def quadrature(g: Callable[[float], float], lo, hi, tol: float) -> float:
+def quadrature(g: Callable[[list[float]], Sequence[float]], lo, hi, tol: float) -> float:
     """Adaptive bisection built on a fixed 15-point Gauss-Legendre rule.
 
-    Panels are split until the whole-panel and split-panel estimates agree
-    within the (bisected) tolerance budget, so the absolute error of the
-    returned value is at most tol for integrands this rule resolves.
+    ``g`` is vectorised: it takes the list of a panel's 15 nodes and returns
+    their values in order. The weighted values are summed with ``math.fsum``,
+    and one panel integrates polynomials of degree up to 29 exactly. Panels
+    are split until the whole-panel and split-panel estimates agree within
+    the (bisected) tolerance budget, so the absolute error of the returned
+    value is at most tol for integrands this rule resolves.
     """
     if not tol > 0:
         raise ValidationError(f"quadrature tolerance {tol} must be positive")

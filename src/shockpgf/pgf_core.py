@@ -71,13 +71,19 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
     """
     z = require_positive(z, "evaluation point z", 1)
     zf = float(z)
-    seg_tol = 1e-10 / max(1, sum(s.density > 0 for s in q.segments))
+    c = 1 - zf
+    live = q._live_segments  # float (lo, hi, density), converted once per law
+    seg_tol = 1e-10 / max(1, len(live))
 
-    def g(y: float) -> float:
-        return zf * y / (1 - zf + zf * y)
+    def g(ys: list[float]) -> list[float]:
+        return [zf * y / (c + zf * y) for y in ys]
 
-    val = integrate(q, lambda y: z * y / (1 - z + z * y),
-                    lambda lo, hi, d: d * quadrature(g, lo, hi, seg_tol / float(d)))
+    val: Num = 0
+    for a in q.atoms:  # in order, exactly for exact z, as ``integrate`` sums atoms
+        y = parse_number(a.y)
+        val += a.p * (z * y / (1 - z + z * y))
+    for lo, hi, d in live:
+        val += d * quadrature(g, lo, hi, seg_tol / d)
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val

@@ -22,7 +22,6 @@ from .measures import (
     MixingDistribution,
     Num,
     csv_text,
-    integrate,
     jsonable,
     mass_on,
     parse_number,
@@ -176,14 +175,11 @@ def expected_shocks(q: MixingDistribution) -> Num:
     """Mean count E[1/Y] under q, math.inf when the integral diverges.
 
     Atoms give 1/y, exact for exact y. A segment on [lo, hi) with lo > 0
-    gives density * log(hi/lo), evaluated as log1p((hi-lo)/lo) so that a
-    narrow segment keeps its relative accuracy; a segment with positive
-    density starting at 0 makes the integral diverge.
+    gives density * log1p((hi-lo)/lo), so that a narrow segment keeps its
+    relative accuracy; a segment with positive density starting at 0 makes
+    the integral diverge. Worked out once per law (``q._means``).
     """
-    if any(s.lo == 0 and s.density > 0 for s in q.segments):
-        return math.inf
-    return integrate(q, lambda y: 1 / y,
-                     lambda lo, hi, d: d * math.log1p((hi - lo) / lo))
+    return q._means[1]
 
 
 @dataclass(frozen=True)
@@ -210,12 +206,11 @@ def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     The kernel is concave in y, so the mean resistance gives an upper
     bound; it is convex in 1/y, so the mean shock count gives a lower
     bound (zero when that mean diverges). Both are tight together exactly
-    for a point mass at 1.
+    for a point mass at 1. The two means are worked out once per law.
     """
     z = parse_number(z)
     phi = pgf_eval(q, z)  # refuses z outside (0, 1)
-    mean_y = integrate(q, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
-    mean_shocks = expected_shocks(q)
+    mean_y, mean_shocks = q._means
     upper = z * mean_y / (1 - z + z * mean_y)
     lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)
     return PgfBounds(z, lower, phi, upper, bool(mean_y <= 1), mean_y, mean_shocks)

@@ -69,10 +69,15 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
 
     Uses the Chernoff bound P(X >= m) <= exp(-mu) * (e*mu/m)**m, valid for
     m > mu, so the returned order is conservative. The exponent falls
-    strictly in m there, so a doubling search and then a bisection from
-    ceil(mu) find the smallest such K; the bound fails at K - 1. Past mu
-    of about 1e10 the rounded exponent is no longer monotone, and K is one
-    such crossing, within a few of the first.
+    strictly in m there. The search starts at k = ceil(mu + sqrt(2*mu*L) +
+    L/3) - 1, L = -log(tol), no lower than ceil(mu). In exact arithmetic
+    the bound already holds there: this Bernstein-type start overshoots the
+    Chernoff crossing by at most one order once mu > L, and by up to about
+    L/3 for small mu. So the search walks down while the bound holds at
+    k - 1. Where rounding breaks that, from mu of about 1.5e9, it doubles a
+    step up from k and bisects. Past mu of about 1e10 the rounded exponent
+    is no longer monotone, and K is one crossing within a few of the first;
+    which one depends on where the search starts.
     """
     require_nonnegative(mu, "mean mu={}")
     require_positive(tol, "tol", 1)
@@ -84,7 +89,13 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
         m = k + 1
         return -mu + m - m * math.log(m / mu) < log_tol
 
-    lo, step = max(1, math.ceil(mu)) - 1, 1
+    floor = math.ceil(mu)
+    k = max(floor, math.ceil(mu + math.sqrt(-2 * log_tol) * math.sqrt(mu) - log_tol / 3) - 1)
+    if bounded(k):
+        while k > floor and bounded(k - 1):
+            k -= 1
+        return k
+    lo, step = k, 1
     while not bounded(lo + step):
         lo, step = lo + step, 2 * step
     hi = lo + step

@@ -2,7 +2,9 @@
 
 import json
 import math
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import numpy as np
@@ -177,6 +179,47 @@ def test_quadrature_tolerance_validation():
         pgf_eval(CE, 1)
     with pytest.raises(ValidationError):
         exp_mixture_survival(CE, -2)
+
+
+def test_quadrature_takes_a_panel_of_nodes_and_is_exact_to_degree_29():
+    """The integrand gets a panel's 15 nodes at once and returns their values in order;
+    the 15-point rule integrates (k+1)*y**k over [0, 1] to 1 within 1e-15 on the first
+    split (the whole panel and its two halves), for every degree k up to 29."""
+    for k in range(30):
+        calls = []
+
+        def g(ys):
+            calls.append(list(ys))
+            return [(k + 1) * y**k for y in ys]
+
+        assert abs(quadrature(g, 0, 1, 1e-15) - 1) <= 1e-15, k
+        assert [len(ys) for ys in calls] == [15, 15, 15], k
+        assert all(0 < y < 1 and ys == sorted(ys) for ys in calls for y in ys)
+
+
+def test_cached_law_facts_stay_out_of_equality_json_and_pickle():
+    """A law's float segments and means, once worked out, change none of its public
+    faces, and an equal law built separately works out the same values."""
+    makers = (lambda: counterexample_Q(counterexample_params("1/7", "2/3")),
+              lambda: random_unit_support(random.Random(7)),
+              lambda: MixingDistribution.from_json_dict(
+                  {"atoms": [{"y": 0.5, "p": 0.25}],
+                   "segments": [{"lo": 0.0, "hi": 0.75, "density": 1.0}]}))
+    assert [f.name for f in fields(MixingDistribution)] == ["atoms", "segments"]
+    for make in makers:
+        filled, fresh = make(), make()
+        bounds = pgf_bounds(filled, 0.5)
+        assert {"_live_segments", "_means"} <= set(vars(filled))
+        assert not {"_live_segments", "_means"} & set(vars(fresh))
+        assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+        assert filled.to_json_dict() == fresh.to_json_dict() == jsonable(fresh)
+        assert jsonable(filled) == jsonable(fresh)
+        assert pickle.dumps(filled) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(filled))
+        assert back == fresh and not {"_live_segments", "_means"} & set(vars(back))
+        assert (bounds.mean_y, bounds.mean_shocks) == filled._means == fresh._means
+        assert filled._live_segments == fresh._live_segments
+        assert pgf_bounds(fresh, 0.5) == bounds == pgf_bounds(back, 0.5)
 
 
 def test_mass_on_boundaries():

@@ -84,11 +84,17 @@ def test_truncation_order_matches_linear_walk():
     rng = random.Random(11)
     mus = [i / 8 for i in range(1, 400)] + [rng.uniform(0, 1000) for _ in range(600)]
     mus += [1e-9, 0.999999, 1.0, 1.000001, 708.4, 1e4, 1e5]
-    for mu in mus:
-        for tol in (1e-13, 1e-12, 1e-9, 1e-6, 0.5):
-            assert poisson_truncation_order(mu, tol) == linear_truncation_order(mu, tol), (mu, tol)
+    pairs = [(mu, tol) for mu in mus for tol in (1e-13, 1e-12, 1e-9, 1e-6, 0.5)]
+    # log-uniform mu in [1e-9, 1e6] and tol in [1e-16, 0.5]: the search walks down from a
+    # start at most one order above the answer once mu > -log(tol), more for small mu
+    pairs += [(10 ** rng.uniform(-9, 6), 10 ** rng.uniform(-16, math.log10(0.5)))
+              for _ in range(3000)]
+    for mu, tol in pairs:
+        assert poisson_truncation_order(mu, tol) == linear_truncation_order(mu, tol), (mu, tol)
 
 
+# the bound holds at the search's start at 1e8 (it walks down) but, by rounding, not at
+# 1e12 (it doubles up and bisects)
 @pytest.mark.parametrize("mu", [1e8, 1e12])
 def test_truncation_order_is_minimal_at_large_mean(mu):
     K = poisson_truncation_order(mu, 1e-12)
