@@ -12,7 +12,7 @@ _EXPORTS = {
     "errors": ("NumericError", "QuadratureError", "ValidationError"),
     "measures": ("MASS_TOL", "Atom", "MixingDistribution", "Num", "Segment", "is_exact",
                  "jsonable", "mass_on", "mix", "parse_number", "point_mass", "quadrature",
-                 "render", "uniform_density"),
+                 "uniform_density"),
     "pgf_core": ("CounterexampleParams", "PmfSequence", "TailSequence", "counterexample_Q",
                  "counterexample_params", "counterexample_tail",
                  "counterexample_tail_sequence", "geometric_pmf", "kernel",

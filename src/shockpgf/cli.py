@@ -5,11 +5,13 @@ computes one report, and writes it as CSV or JSON to stdout or a file.
 Output is deterministic for fixed inputs: floats are rendered with repr
 and simulations are seeded. Exit codes: 0 on success, 2 for invalid
 input or arguments, 3 when a numeric routine cannot deliver the request.
+
+Library names are read through the package (``sp.name``), so each subcommand
+imports only the modules it calls.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -17,59 +19,27 @@ from fractions import Fraction
 
 import click
 
-from . import __version__
+import shockpgf as sp
 from .errors import NumericError, ValidationError
-from .measures import MixingDistribution, csv_text, jsonable, parse_number
-from .pgf_core import (
-    TailSequence,
-    counterexample_Q,
-    counterexample_params,
-    counterexample_tail_sequence,
-    monotonicity_condition,
-    pgf_eval,
-    tail_sequence,
-)
-from .sdfr_analysis import (
-    classify_support,
-    difference_table,
-    expected_shocks,
-    is_completely_monotone,
-    laplace_order_bounds,
-    pgf_bounds,
-    tail_validity,
-)
-from .shock_model import (
-    ShockModelParams,
-    laplace,
-    sdfr_skeleton_check,
-    simulate_de_finetti,
-    simulate_failure_times,
-    survival,
-)
 
 
 class NumericFailure(click.ClickException):
     exit_code = 3
 
 
-def guarded(fn):
-    """Map library errors onto the documented exit codes."""
+class Command(click.Command):
+    """A subcommand that maps library errors onto the documented exit codes."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
+            return super().invoke(ctx)
         except ValidationError as exc:
-            raise click.UsageError(str(exc))
+            raise click.UsageError(str(exc), ctx)
         except NumericError as exc:
             raise NumericFailure(str(exc))
 
-    return wrapper
 
-
-def _load_distribution(text: str | None) -> MixingDistribution:
+def _load_distribution(text: str | None) -> sp.MixingDistribution:
     if text is None:
         raise click.UsageError("missing required option '--dist'")
     t = text.strip()
@@ -87,7 +57,7 @@ def _load_distribution(text: str | None) -> MixingDistribution:
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"distribution file is not valid JSON: {exc}")
     try:
-        return MixingDistribution.from_json_dict(doc)
+        return sp.MixingDistribution.from_json_dict(doc)
     except ValidationError as exc:
         raise click.UsageError(f"invalid distribution: {exc}")
 
@@ -128,10 +98,15 @@ def _emit(out: str, fmt: str, doc, csv) -> None:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     set_limit(0)
     try:
-        text = json.dumps(doc(), indent=2, default=jsonable) + "\n" if fmt == "json" else csv()
+        text = json.dumps(doc(), indent=2, default=sp.jsonable) + "\n" if fmt == "json" else csv()
     finally:
         set_limit(limit)
     _write(out, text)
+
+
+def _cell(first) -> dict | None:
+    """JSON form of a (j, k) difference cell, or None when there is none."""
+    return None if first is None else {"j": first[0], "k": first[1]}
 
 
 def io_options(default_format: str):
@@ -150,9 +125,12 @@ dist_option = click.option("--dist", metavar="JSON_OR_PATH",
 
 
 @click.group()
-@click.version_option(__version__, prog_name="shockpgf")
+@click.version_option(sp.__version__, prog_name="shockpgf")
 def cli():
     """Mixture p.g.f. and shock-model survival toolkit."""
+
+
+cli.command_class = Command
 
 
 @cli.command()
@@ -160,16 +138,15 @@ def cli():
 @click.option("--z", default="1/4,1/2,3/4", show_default=True,
               help="Comma-separated evaluation points in (0, 1).")
 @io_options("csv")
-@guarded
 def pgf(dist, z, format, out):
     """Evaluate the candidate p.g.f. on a grid."""
     q = _load_distribution(dist)
-    rows = [(pt, pgf_eval(q, pt)) for pt in _parse_grid(z, "z")]
+    rows = [(pt, sp.pgf_eval(q, pt)) for pt in _parse_grid(z, "z")]
     _emit(out, format, lambda: {
         "command": "pgf",
         "distribution": q,
         "rows": [{"z": pt, "phi": v, "decimal": float(v)} for pt, v in rows],
-    }, lambda: csv_text(("z", "phi"), ((float(pt), float(v)) for pt, v in rows)))
+    }, lambda: sp.measures.csv_text(("z", "phi"), ((float(pt), float(v)) for pt, v in rows)))
 
 
 @cli.command()
@@ -177,17 +154,15 @@ def pgf(dist, z, format, out):
 @click.option("--K", "k", type=int, default=200, show_default=True,
               help="Largest tail index to tabulate.")
 @io_options("csv")
-@guarded
 def tail(dist, k, format, out):
     """Tabulate the shock-resistance tail sequence."""
     q = _load_distribution(dist)
-    t = tail_sequence(q, k)
-    valid, reason = tail_validity(t)
+    t = sp.tail_sequence(q, k)
     _emit(out, format, lambda: {
         "command": "tail",
         "distribution": q,
-        "valid": valid,
-        "invalid_reason": reason,
+        "valid": t.violation is None,
+        "invalid_reason": t.violation,
         "tail": t.to_json_dict(),
     }, t.to_csv)
 
@@ -203,23 +178,22 @@ def tail(dist, k, format, out):
 @click.option("--tol", type=float, default=None,
               help="Negativity tolerance; defaults to 0 for exact input.")
 @io_options("json")
-@guarded
 def cm_check(dist, values, k, j, tol, format, out):
     """Test a sequence for complete monotonicity."""
     if values is not None:
         # parse_number keeps decimal strings exact, so hand-typed sequences
         # get the zero-tolerance check by default
-        entries = [parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
+        entries = [sp.parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
         if not entries:
             raise click.UsageError("option --values lists no entries")
-        seq, q = TailSequence.from_values(entries), None
+        seq, q = sp.TailSequence.from_values(entries), None
     else:
         q = _load_distribution(dist)
-        seq = tail_sequence(q, k)
-    table = difference_table(seq, min(j, seq.K))
+        seq = sp.tail_sequence(q, k)
+    table = sp.difference_table(seq, min(j, seq.K))
     if tol is None:
         tol = 0.0 if table.exact else 1e-9 * max(map(abs, seq.floats))
-    verdict, first = is_completely_monotone(seq, table.J, tol)
+    verdict, first = sp.is_completely_monotone(seq, table.J, tol)
     _emit(out, format, lambda: {
         "command": "cm-check",
         **({"source": "values"} if q is None
@@ -227,7 +201,7 @@ def cm_check(dist, values, k, j, tol, format, out):
         "J": table.J,
         "tol": tol,
         "completely_monotone": verdict,
-        "first_violation": None if first is None else {"j": first[0], "k": first[1]},
+        "first_violation": _cell(first),
         "table": table.to_json_dict(),
     }, table.to_csv)
 
@@ -235,19 +209,18 @@ def cm_check(dist, values, k, j, tol, format, out):
 @cli.command()
 @dist_option
 @io_options("json")
-@guarded
 def classify(dist, format, out):
     """Classify the support of a mixing distribution."""
     q = _load_distribution(dist)
-    c = classify_support(q)
-    ej = expected_shocks(q)
+    c = sp.classify_support(q)
+    ej = sp.expected_shocks(q)
     _emit(out, format, lambda: {
         "command": "classify",
         "distribution": q,
         **c.to_json_dict(),
         "expected_shocks": "inf" if ej == math.inf else ej,
-    }, lambda: csv_text(("verdict", "m01", "m12", "m2", "expected_shocks"),
-                        [(c.verdict, c.m01, c.m12, c.m2, ej)]))
+    }, lambda: sp.measures.csv_text(("verdict", "m01", "m12", "m2", "expected_shocks"),
+                                    [(c.verdict, c.m01, c.m12, c.m2, ej)]))
 
 
 @cli.command()
@@ -258,29 +231,27 @@ def classify(dist, format, out):
 @click.option("--J", "j", type=int, default=12, show_default=True,
               help="Highest difference order to inspect.")
 @io_options("json")
-@guarded
 def counterexample(alpha, beta, k, j, format, out):
     """Reproduce the two-segment stress case end to end."""
-    p = counterexample_params(alpha, beta)
-    q = counterexample_Q(p)
-    t = counterexample_tail_sequence(p, k)
-    valid, reason = tail_validity(t)
-    verdict, first = is_completely_monotone(t, min(j, k), 0)
-    mono_fail = next((n for n in range(k // 2 + 1) if not monotonicity_condition(p, n)), None)
+    p = sp.counterexample_params(alpha, beta)
+    q = sp.counterexample_Q(p)
+    t = sp.counterexample_tail_sequence(p, k)
+    verdict, first = sp.is_completely_monotone(t, min(j, k), 0)
+    mono_fail = next((n for n in range(k // 2 + 1) if not sp.monotonicity_condition(p, n)), None)
     # row 2 at i reads u_i..u_{i+2}: the first 11 entries give the 9 that are printed
-    second = difference_table(t.values[:11], 2).entries[2] if k >= 2 else ()
+    second = sp.difference_table(t.values[:11], 2).entries[2] if k >= 2 else ()
     _emit(out, format, lambda: {
         "command": "counterexample",
         "alpha": p.alpha,
         "beta": p.beta,
         "admissible": p.admissible,
         "distribution": q,
-        "classification": classify_support(q).to_json_dict(),
-        "tail_valid": valid,
-        "invalid_reason": reason,
+        "classification": sp.classify_support(q).to_json_dict(),
+        "tail_valid": t.violation is None,
+        "invalid_reason": t.violation,
         "monotonicity_condition_first_failure": mono_fail,
         "completely_monotone": verdict,
-        "first_violation": None if first is None else {"j": first[0], "k": first[1]},
+        "first_violation": _cell(first),
         "second_differences": [
             {"k": i, "value": v, "decimal": float(v)}
             for i, v in enumerate(second)
@@ -297,19 +268,18 @@ def counterexample(alpha, beta, k, j, format, out):
 @click.option("--K", "k", type=int, default=200, show_default=True,
               help="Tail truncation order feeding the series.")
 @io_options("csv")
-@guarded
 def survival_cmd(dist, lam, t, k, format, out):
     """Shock-model survival on a time grid."""
     q = _load_distribution(dist)
-    params = ShockModelParams(lam=parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
-    t_seq = tail_sequence(q, k)
-    rows = [(v, survival(t_seq, params, v)) for v in params.time_grid]
+    params = sp.ShockModelParams(lam=sp.parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
+    t_seq = sp.tail_sequence(q, k)
+    rows = [(v, sp.survival(t_seq, params, v)) for v in params.time_grid]
     _emit(out, format, lambda: {
         "command": "survival",
         "distribution": q,
         "lam": params.lam,
         "rows": [{"t": v, "survival": s} for v, s in rows],
-    }, lambda: csv_text(("t", "survival"), rows))
+    }, lambda: sp.measures.csv_text(("t", "survival"), rows))
 
 
 @cli.command("laplace")
@@ -318,18 +288,17 @@ def survival_cmd(dist, lam, t, k, format, out):
 @click.option("--s", default="0.5,1,2", show_default=True,
               help="Comma-separated transform frequencies.")
 @io_options("csv")
-@guarded
 def laplace_cmd(dist, lam, s, format, out):
     """Failure-time transform on a frequency grid."""
     q = _load_distribution(dist)
-    lam_v = parse_number(lam)
-    rows = [(pt, laplace(q, lam_v, pt)) for pt in _parse_grid(s, "s")]
+    lam_v = sp.parse_number(lam)
+    rows = [(pt, sp.laplace(q, lam_v, pt)) for pt in _parse_grid(s, "s")]
     _emit(out, format, lambda: {
         "command": "laplace",
         "distribution": q,
         "lam": lam_v,
         "rows": [{"s": pt, "value": v, "decimal": float(v)} for pt, v in rows],
-    }, lambda: csv_text(("s", "value"), ((float(pt), float(v)) for pt, v in rows)))
+    }, lambda: sp.measures.csv_text(("s", "value"), ((float(pt), float(v)) for pt, v in rows)))
 
 
 @cli.command()
@@ -341,25 +310,25 @@ def laplace_cmd(dist, lam, s, format, out):
 @click.option("--lam", default="1", show_default=True,
               help="Arrival rate, used with --s.")
 @io_options("csv")
-@guarded
 def bounds(dist, z, s, lam, format, out):
     """Two-sided bounds around the mixture value."""
     q = _load_distribution(dist)
     if (z is None) == (s is None):
         raise click.UsageError("pass exactly one of --z or --s")
     if z is not None:
-        results = [pgf_bounds(q, pt) for pt in _parse_grid(z, "z")]
+        results = [sp.pgf_bounds(q, pt) for pt in _parse_grid(z, "z")]
         scale, header = "pgf", ("z", "lower", "phi", "upper")
     else:
-        lam_v = parse_number(lam)
-        results = [laplace_order_bounds(q, lam_v, pt) for pt in _parse_grid(s, "s")]
+        lam_v = sp.parse_number(lam)
+        results = [sp.laplace_order_bounds(q, lam_v, pt) for pt in _parse_grid(s, "s")]
         scale, header = "laplace", ("s", "lower", "value", "upper")
     _emit(out, format, lambda: {
         "command": "bounds",
         "scale": scale,
         "distribution": q,
         "rows": results,
-    }, lambda: csv_text(header, ([float(getattr(b, col)) for col in header] for b in results)))
+    }, lambda: sp.measures.csv_text(header, ([float(getattr(b, col)) for col in header]
+                                             for b in results)))
 
 
 @cli.command("skeleton")
@@ -373,13 +342,12 @@ def bounds(dist, z, s, lam, format, out):
 @click.option("--K", "k", type=int, default=200, show_default=True,
               help="Tail truncation order feeding the series.")
 @io_options("json")
-@guarded
 def skeleton(dist, lam, delta, j, n_points, k, format, out):
     """Complete-monotonicity check of the survival skeleton."""
     q = _load_distribution(dist)
-    params = ShockModelParams(lam=parse_number(lam), series_tol=1e-13)
-    t_seq = tail_sequence(q, k)
-    verdict, first = sdfr_skeleton_check(t_seq, params, delta, j, n_points)
+    params = sp.ShockModelParams(lam=sp.parse_number(lam), series_tol=1e-13)
+    t_seq = sp.tail_sequence(q, k)
+    verdict, first = sp.sdfr_skeleton_check(t_seq, params, delta, j, n_points)
     _emit(out, format, lambda: {
         "command": "skeleton",
         "distribution": q,
@@ -388,9 +356,10 @@ def skeleton(dist, lam, delta, j, n_points, k, format, out):
         "J": j,
         "n_points": n_points,
         "completely_monotone": verdict,
-        "first_violation": None if first is None else {"j": first[0], "k": first[1]},
-    }, lambda: csv_text(("delta", "J", "n_points", "completely_monotone", "first_j", "first_k"),
-                        [(delta, j, n_points, verdict, *(first or (None, None)))]))
+        "first_violation": _cell(first),
+    }, lambda: sp.measures.csv_text(
+        ("delta", "J", "n_points", "completely_monotone", "first_j", "first_k"),
+        [(delta, j, n_points, verdict, *(first or (None, None)))]))
 
 
 @cli.command()
@@ -410,15 +379,15 @@ def skeleton(dist, lam, delta, j, n_points, k, format, out):
               default="none", show_default=True,
               help="Continuation of the tails beyond K (failure mode).")
 @io_options("csv")
-@guarded
 def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, format, out):
     """Seeded Monte Carlo against the analytic curves."""
     q = _load_distribution(dist)
     if mode == "failure":
-        params = ShockModelParams(lam=parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
-        result = simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
+        params = sp.ShockModelParams(lam=sp.parse_number(lam),
+                                     time_grid=tuple(_parse_grid(t, "t")))
+        result = sp.simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
     else:
-        result = simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)
+        result = sp.simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)
     _emit(out, format, lambda: {"command": "simulate", "mode": mode,
                                 "distribution": q, **result.to_json_dict()},
           result.to_csv)

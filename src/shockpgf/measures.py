@@ -72,14 +72,11 @@ def jsonable(x):
     return float(x)
 
 
-def render(x) -> str:
-    """Deterministic text form for CSV cells: empty for None, else ``jsonable`` as text."""
-    return "" if x is None else str(jsonable(x))
-
-
 def csv_text(header: Sequence[str], rows) -> str:
-    """CSV text of a header and rows, one line each, every cell through ``render``."""
-    return "".join(",".join(map(render, row)) + "\n" for row in (header, *rows))
+    """CSV text of a header and rows, one line each; a cell is empty for None, else
+    ``jsonable`` of it as text."""
+    return "".join(",".join("" if x is None else str(jsonable(x)) for x in row) + "\n"
+                   for row in (header, *rows))
 
 
 def require_int(x, what: str, least: int = 0) -> int:
@@ -208,9 +205,11 @@ class MixingDistribution:
 
     @cached_property
     def _live_segments(self) -> tuple[tuple[float, float, float], ...]:
-        """Segments with positive density as float (lo, hi, density) triples."""
-        return tuple((float(s.lo), float(s.hi), float(s.density))
-                     for s in self.segments if s.density > 0)
+        """Segments as float (lo, hi, density) triples, leaving out those whose density
+        rounds to 0.0: under 2**-1074 on a width a float can hold, such a segment carries
+        less than 1e-15 of mass, far below the 1e-10 budget of ``pgf_eval``."""
+        dens = ((s, float(s.density)) for s in self.segments)
+        return tuple((float(s.lo), float(s.hi), d) for s, d in dens if d > 0)
 
     @cached_property
     def _means(self) -> tuple[Num, Num]:
@@ -240,8 +239,11 @@ class MixingDistribution:
             return parse_number(entry[field])
 
         def parts(key: str, kind) -> tuple:  # the JSON keys are the fields ``jsonable`` writes
+            entries = [] if doc.get(key) is None else doc[key]
+            if not isinstance(entries, list):
+                raise ValidationError(f"{key!r} must be a list, got {type(entries).__name__}")
             return tuple(kind(*(grab(entry, f.name, f"{key}[{i}]") for f in fields(kind)))
-                         for i, entry in enumerate(doc.get(key) or []))
+                         for i, entry in enumerate(entries))
 
         return cls(parts("atoms", Atom), parts("segments", Segment))
 

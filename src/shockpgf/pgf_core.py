@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,7 +43,8 @@ def kernel(y, z) -> Num:
     """The mixing kernel z*y / (1 - z + z*y).
 
     In y it increases from 0 through the fixed point at y = 1 (value z) and
-    saturates at 1; exact when both arguments are exact.
+    saturates at 1; exact when both arguments are exact, and a float z against
+    an exact y past the float range gives the exact value rounded once.
     """
     y = parse_number(y)
     if not (is_exact(y) or math.isfinite(y)):
@@ -52,16 +54,24 @@ def kernel(y, z) -> Num:
     z = require_positive(z, "kernel argument z", 1, closed=True)
     if y == 0:
         return Fraction(0) if is_exact(y) and is_exact(z) else 0.0
-    return z * y / (1 - z + z * y)
+    return _kernel(y, z)
+
+
+def _kernel(y: Num, z: Num) -> Num:  # ``kernel`` of checked arguments, y > 0
+    try:
+        return z * y / (1 - z + z * y)
+    except OverflowError:  # float arithmetic on an exact y past the float range
+        z = Fraction(z)
+        return float(z * y / (1 - z + z * y))
 
 
 def pgf_eval(q: MixingDistribution, z) -> Num:
     """Candidate p.g.f. value phi(z): the kernel integrated against q.
 
-    Atoms are summed exactly for exact z. Each segment with positive
-    density is integrated by adaptive quadrature, with the absolute budget
-    1e-10 split evenly across those segments. Float results are clamped to
-    [0, 1]; exact results are returned as is.
+    Atoms are summed exactly for exact z. Each segment whose density is
+    positive as a float is integrated by adaptive quadrature, with the
+    absolute budget 1e-10 split evenly across those segments. Float results
+    are clamped to [0, 1]; exact results are returned as is.
 
     The kernel does have a closed form on [lo, hi), namely
     (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with c = 1-z, but it cancels
@@ -80,8 +90,7 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
 
     val: Num = 0
     for a in q.atoms:  # in order, exactly for exact z, as ``integrate`` sums atoms
-        y = parse_number(a.y)
-        val += a.p * (z * y / (1 - z + z * y))
+        val += a.p * _kernel(parse_number(a.y), z)
     for lo, hi, d in live:
         val += d * quadrature(g, lo, hi, seg_tol / d)
     if not is_exact(val):
@@ -93,6 +102,13 @@ def resistance_gf(q: MixingDistribution, z) -> Num:
     """Generating function of the tail sequence, (1 - phi(z)) / (1 - z)."""
     z = parse_number(z)  # pgf_eval refuses z outside (0, 1) before 1 - z is used
     return (1 - pgf_eval(q, z)) / (1 - z)
+
+
+def _shown(v: Num) -> str:  # repr(float(v)), or the float bound an exact v lies beyond
+    try:
+        return repr(float(v))
+    except OverflowError:
+        return f"{'below -' if v < 0 else 'above '}{sys.float_info.max!r}"
 
 
 @lru_cache(maxsize=64)
@@ -142,12 +158,12 @@ class TailSequence:
         if not vals:
             return "sequence is empty"
         if vals[0] != 1:
-            return f"entry k=0 is {float(vals[0])!r}, expected 1"
+            return f"entry k=0 is {_shown(vals[0])}, expected 1"
         for k, v in enumerate(vals):
             if v != v:
                 return f"entry k={k} is NaN"
             if v < 0:
-                return f"entry k={k} is negative ({float(v)!r})"
+                return f"entry k={k} is negative ({_shown(v)})"
         for k in range(len(vals) - 1):
             if vals[k + 1] > vals[k]:
                 return f"sequence increases from k={k} to k={k + 1}"
@@ -155,10 +171,15 @@ class TailSequence:
 
     @cached_property
     def floats(self) -> tuple[float, ...]:
-        """The entries as floats; a table of floats is its own copy."""
+        """The entries as floats; a table of floats is its own copy. An exact entry past
+        the float range, which no valid tail has, is refused."""
         if all(isinstance(v, float) for v in self.values):
             return self.values
-        return tuple(float(v) for v in self.values)
+        try:
+            return tuple(float(v) for v in self.values)
+        except OverflowError:
+            k = next(k for k, v in enumerate(self.values) if abs(v) > sys.float_info.max)
+            raise ValidationError(f"entry k={k} lies past the float range") from None
 
     @property
     def integers(self) -> tuple[Iterator[int], int]:
@@ -178,13 +199,13 @@ class TailSequence:
         return N, M * L * B_pow * B
 
     def to_json_dict(self) -> dict:
-        entries = [{"k": k, "value": jsonable(v), "decimal": float(v)}
-                   for k, v in enumerate(self.values)]
+        entries = [{"k": k, "value": jsonable(v), "decimal": f}
+                   for k, (v, f) in enumerate(zip(self.values, self.floats))]
         return {"K": self.K, "exact": self.exact, "entries": entries}
 
     def to_csv(self) -> str:
         return csv_text(("k", "value", "decimal"),
-                        ((k, v, float(v)) for k, v in enumerate(self.values)))
+                        ((k, v, f) for k, (v, f) in enumerate(zip(self.values, self.floats))))
 
 
 @dataclass(frozen=True)

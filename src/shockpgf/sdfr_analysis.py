@@ -28,7 +28,7 @@ from .measures import (
     require_int,
     require_positive,
 )
-from .pgf_core import TailSequence, pgf_eval
+from .pgf_core import TailSequence, kernel, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
 VERDICT_UNIT_SUPPORT = "sdfr_support_in_unit"
@@ -211,8 +211,12 @@ def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     z = parse_number(z)
     phi = pgf_eval(q, z)  # refuses z outside (0, 1)
     mean_y, mean_shocks = q._means
-    upper = z * mean_y / (1 - z + z * mean_y)
-    lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)
+    upper = kernel(mean_y, z)
+    try:
+        lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)
+    except OverflowError:  # a float z against an exact mean past the float range
+        zq = Fraction(z)
+        lower = float(zq / (zq + (1 - zq) * mean_shocks))
     return PgfBounds(z, lower, phi, upper, bool(mean_y <= 1), mean_y, mean_shocks)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import shockpgf
 from shockpgf import (
     DifferenceTable,
     MixingDistribution,
@@ -20,13 +21,13 @@ from shockpgf import (
     counterexample_Q,
     counterexample_params,
     counterexample_tail,
+    measures,
     pgf_core,
     point_mass,
     sdfr_analysis,
     shock_model,
     tail_sequence,
 )
-from shockpgf import cli as cli_module
 from shockpgf.cli import cli
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
@@ -203,6 +204,9 @@ def test_usage_errors_are_exit_2():
     res = run("classify", "--dist", heavy)
     assert res.exit_code == 2
     assert "invalid distribution" in err_text(res)
+    res = run("classify", "--dist", '{"atoms": [{"y": 1, "p": 1}], "segments": 5}')
+    assert res.exit_code == 2
+    assert "'segments' must be a list" in err_text(res)
     res = run("counterexample", "--alpha", "7/7", "--beta", "2/3")
     assert res.exit_code == 2
 
@@ -230,6 +234,52 @@ def test_non_finite_times_are_exit_2(args):
     assert "finite" in err_text(res)
 
 
+BEYOND_FLOATS = json.dumps({"atoms": [{"y": "1e400", "p": 1}]})
+TINY_DENSITY = json.dumps({"atoms": [{"y": "1/2", "p": f"{10**400 - 1}/{10**400}"}],
+                           "segments": [{"lo": 0, "hi": 1, "density": f"1/{10**400}"}]})
+
+
+@pytest.mark.parametrize("command", ["survival", "skeleton", "simulate"])
+def test_tails_past_the_float_range_are_exit_2(command):
+    """u_1 = 1 - 10**400: the reason names the negative entry without a float of it."""
+    res = run(command, "--dist", BEYOND_FLOATS)
+    assert res.exit_code == 2, res.output
+    assert "entry k=1 is negative (below -1.7976931348623157e+308)" in err_text(res)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tail_past_the_float_range_has_no_decimal_column(fmt):
+    res = run("tail", "--dist", BEYOND_FLOATS, "--K", "3", "--format", fmt)
+    assert res.exit_code == 2, res.output
+    assert "entry k=1 lies past the float range" in err_text(res)
+
+
+def test_cm_check_past_the_float_range_gives_its_verdict():
+    res = run("cm-check", "--dist", BEYOND_FLOATS, "--K", "5", "--J", "2")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["completely_monotone"] is False
+    assert doc["first_violation"] == {"j": 0, "k": 1}
+
+
+@pytest.mark.parametrize("args", [
+    ("pgf", "--dist", BEYOND_FLOATS, "--z", "0.5"),
+    ("laplace", "--dist", BEYOND_FLOATS),
+    ("bounds", "--dist", BEYOND_FLOATS, "--z", "0.5"),
+    ("bounds", "--dist", '{"atoms": [{"y": "1e-400", "p": 1}]}', "--z", "0.5"),
+    ("bounds", "--dist", '{"atoms": [{"y": "1e-400", "p": 1}]}', "--s", "1"),
+    ("pgf", "--dist", TINY_DENSITY),
+    ("laplace", "--dist", TINY_DENSITY),
+    ("bounds", "--dist", TINY_DENSITY, "--z", "0.5"),
+    ("simulate", "--dist", TINY_DENSITY, "--mode", "definetti", "--n", "10"),
+], ids=["pgf-huge-atom", "laplace-huge-atom", "bounds-z-huge-atom", "bounds-z-tiny-atom",
+        "bounds-s-tiny-atom", "pgf-tiny-density", "laplace-tiny-density",
+        "bounds-z-tiny-density", "definetti-tiny-density"])
+def test_float_reports_on_exact_scalars_past_the_float_range(args):
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+
+
 RENDER_COMMANDS = {
     "pgf": ("pgf", "--dist", HALF_ATOM),
     "tail": ("tail", "--dist", CE_JSON, "--K", "5"),
@@ -253,7 +303,7 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("case", sorted(RENDER_COMMANDS))
 def test_json_request_never_builds_csv(case, monkeypatch):
-    for mod in (cli_module, pgf_core, sdfr_analysis, shock_model):
+    for mod in (measures, pgf_core, sdfr_analysis, shock_model):
         monkeypatch.setattr(mod, "csv_text", _refuse)
     args = RENDER_COMMANDS[case]
     res = run(*args, "--format", "json")
@@ -265,7 +315,7 @@ def test_json_request_never_builds_csv(case, monkeypatch):
 def test_csv_request_never_builds_json(case, monkeypatch):
     for cls in (MixingDistribution, TailSequence, DifferenceTable, SimulatedCurve):
         monkeypatch.setattr(cls, "to_json_dict", _refuse)
-    monkeypatch.setattr(cli_module, "jsonable", _refuse)
+    monkeypatch.setattr(shockpgf, "jsonable", _refuse)  # CSV cells read measures.jsonable
     res = run(*RENDER_COMMANDS[case], "--format", "csv")
     assert res.exit_code == 0, res.output
     assert res.output.count("\n") >= 2

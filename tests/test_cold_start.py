@@ -1,4 +1,5 @@
-"""The package and its CLI start without numpy; only the simulators load it.
+"""The package and its CLI start without numpy; only the simulators load it, and each
+subcommand loads only the library modules it calls.
 
 ``import shockpgf`` loads no module: each public name is read from the module that
 defines it, the first time it is asked for.
@@ -6,6 +7,7 @@ defines it, the first time it is asked for.
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -90,8 +92,49 @@ def test_exact_command_runs_without_numpy():
     assert res.stdout.splitlines()[-1] == "5,1/32,0.03125"
     imported = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "shockpgf.shock_model" in imported
+    assert "shockpgf.shock_model" not in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+# Runs the CLI in a fresh interpreter, then lists on stderr's last line the library modules
+# it loaded (``shockpgf.*`` but the CLI itself) and numpy when it was loaded.
+LOADED_BY = """
+import json, sys
+from shockpgf.cli import cli
+try:
+    cli(sys.argv[1:], prog_name="shockpgf")
+finally:
+    names = {m.removeprefix("shockpgf.") for m in sys.modules if m.startswith("shockpgf.")}
+    print(json.dumps(sorted((names - {"cli"}) | ({"numpy"} & set(sys.modules)))), file=sys.stderr)
+"""
+CORE = ["errors", "measures", "pgf_core"]
+ANALYSIS = [*CORE, "sdfr_analysis"]
+SHOCKS = [*ANALYSIS, "shock_model"]
+LOADS = {
+    "version": (["--version"], 0, ["errors"]),
+    "bad-json": (["pgf", "--dist", "{nope"], 2, ["errors"]),
+    "pgf": (["pgf", "--dist", HALF_ATOM], 0, CORE),
+    "tail": (["tail", "--dist", HALF_ATOM, "--K", "5"], 0, CORE),
+    "cm-check": (["cm-check", "--dist", HALF_ATOM, "--K", "5", "--J", "2"], 0, ANALYSIS),
+    "classify": (["classify", "--dist", HALF_ATOM], 0, ANALYSIS),
+    "counterexample": (["counterexample", "--alpha", "1/7", "--beta", "2/3", "--K", "5"], 0,
+                       ANALYSIS),
+    "bounds": (["bounds", "--dist", HALF_ATOM, "--z", "1/2"], 0, ANALYSIS),
+    "laplace": (["laplace", "--dist", HALF_ATOM], 0, SHOCKS),
+    "survival": (["survival", "--dist", HALF_ATOM], 0, SHOCKS),
+    "skeleton": (["skeleton", "--dist", HALF_ATOM, "--n-points", "12"], 0, SHOCKS),
+    "simulate": (["simulate", "--dist", HALF_ATOM, "--n", "10"], 0, [*SHOCKS, "numpy"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_each_command_loads_only_what_it_calls(case):
+    """The CLI reads the library through the package, so only simulate loads numpy, and
+    --version or an unreadable --dist loads no library module but ``errors``."""
+    args, code, modules = LOADS[case]
+    res = run_python("-c", LOADED_BY, *args)
+    assert res.returncode == code, res.stderr
+    assert json.loads(res.stderr.splitlines()[-1]) == sorted(modules)
 
 
 # Blocks numpy and click, then checks the exact core: every tail entry is a Fraction in the

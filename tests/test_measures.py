@@ -288,6 +288,16 @@ def test_json_round_trip_random_families():
         assert MixingDistribution.from_json_dict(q.to_json_dict()) == q
 
 
+@pytest.mark.parametrize("value", [5, "ab", {"lo": 0, "hi": 1, "density": 1}, 0, "", True])
+def test_from_json_refuses_parts_that_are_not_lists(value):
+    """Only a list, null or an absent key is read: a string is not read a character at a
+    time, a dict not a key at a time, and a falsy scalar is not an empty list."""
+    with pytest.raises(ValidationError, match="'segments' must be a list"):
+        MixingDistribution.from_json_dict({"atoms": [{"y": 1, "p": 1}], "segments": value})
+    assert MixingDistribution.from_json_dict(
+        {"atoms": [{"y": 1, "p": 1}], "segments": None}) == point_mass(1)
+
+
 def test_from_json_names_offending_field():
     with pytest.raises(ValidationError, match=r"atoms\[0\].*'p'"):
         MixingDistribution.from_json_dict({"atoms": [{"y": 1}]})

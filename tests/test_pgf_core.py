@@ -57,6 +57,8 @@ def test_kernel_fixed_points():
     assert kernel("1/2", "1/2") == F(1, 3)
     assert kernel(1e6, 0.5) > 1 - 1e-5  # saturates toward 1
     assert kernel(F(10**400), F(1, 2)) == F(10**400, 10**400 + 1)  # exact past the float range
+    assert kernel(F(10**400), 0.5) == 1.0  # a float z: the exact value, rounded once
+    assert kernel(F(1, 10**400), 0.5) == 0.0
     with pytest.raises(ValidationError):
         kernel(-1, 0.5)
     for y in (math.nan, math.inf):  # both gave nan through z*y / (1 - z + z*y)
@@ -324,6 +326,30 @@ def test_tail_violation_reasons():
         assert TailSequence.from_values(values).violation == reason
         assert tail_validity(values) == (reason is None, reason)
         assert tail_validity(iter(values)) == (reason is None, reason)
+
+
+def test_entries_past_the_float_range_are_named_without_a_float():
+    """Reasons keep repr(float(v)) for entries a float holds and name the bound otherwise;
+    the float copy of such a table is refused."""
+    big = F(10**400)
+    assert TailSequence.from_values((1, -big)).violation == (
+        "entry k=1 is negative (below -1.7976931348623157e+308)")
+    assert TailSequence.from_values((big,)).violation == (
+        "entry k=0 is above 1.7976931348623157e+308, expected 1")
+    t = tail_sequence(point_mass(big), 3)
+    assert t.violation.startswith("entry k=1 is negative (below -")
+    with pytest.raises(ValidationError, match="entry k=1 lies past the float range"):
+        t.floats
+
+
+def test_density_below_the_float_range_is_skipped():
+    """A segment whose density is 0.0 as a float carries no float-visible mass."""
+    tiny = F(1, 10**400)
+    q = MixingDistribution((Atom(F(1, 2), 1 - tiny),), (Segment(0, 1, tiny),))
+    assert q._live_segments == ()
+    half = point_mass("1/2")
+    for z in (0.25, 0.5, 0.9):
+        assert pgf_eval(q, z) == pgf_eval(half, z)
 
 
 def test_empty_sequence_is_not_a_tail():

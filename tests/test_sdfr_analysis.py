@@ -315,3 +315,16 @@ def test_unit_support_verdict_implies_cm():
         if classify_support(q).verdict == VERDICT_UNIT_SUPPORT:
             ok, _ = is_completely_monotone(tail_sequence(q, 30), 10, 0)
             assert ok
+
+
+@pytest.mark.parametrize("y, value", [("1e-400", 0.0), ("1e400", 1.0)])
+def test_float_bounds_on_an_atom_past_the_float_range(y, value):
+    """An exact atom below or above the float range meets a float z: the float phi and
+    both bounds are the exact values rounded, 0.0 or 1.0; an exact z stays exact."""
+    q = point_mass(y)
+    b = pgf_bounds(q, 0.5)
+    assert (b.lower, b.phi, b.upper) == (value, value, value)
+    lb = laplace_order_bounds(q, 1, 1.0)
+    assert (lb.lower, lb.value, lb.upper) == (value, value, value)
+    exact = pgf_bounds(q, F(1, 2))
+    assert exact.lower == exact.phi == exact.upper == F(1, 1 + 1 / F(y))
