@@ -9,10 +9,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": ("NumericError", "QuadratureError", "ValidationError"),
+    "errors": ("NumericError", "ValidationError"),
     "measures": ("MASS_TOL", "Atom", "MixingDistribution", "Num", "Segment", "is_exact",
-                 "jsonable", "mass_on", "mix", "parse_number", "point_mass", "quadrature",
-                 "uniform_density"),
+                 "jsonable", "mass_on", "mix", "parse_number", "point_mass", "uniform_density"),
     "pgf_core": ("CounterexampleParams", "PmfSequence", "TailSequence", "counterexample_Q",
                  "counterexample_params", "counterexample_tail",
                  "counterexample_tail_sequence", "geometric_pmf", "kernel",

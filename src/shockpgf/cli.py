@@ -393,9 +393,5 @@ def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, format, out):
           result.to_csv)
 
 
-def main() -> None:
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

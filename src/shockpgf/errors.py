@@ -7,7 +7,3 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric routine cannot deliver the requested accuracy."""
-
-
-class QuadratureError(NumericError):
-    """Adaptive quadrature hit its depth limit before converging."""

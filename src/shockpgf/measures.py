@@ -4,8 +4,7 @@ A mixing distribution is a probability measure built from point masses plus
 a piecewise-constant density. Scalars are kept as ``fractions.Fraction``
 whenever the caller supplies rational data, so measure arithmetic, moments,
 and polynomial integrals stay exact; floats enter only when the caller uses
-them or when an integral has no rational value (logarithms, exponentials,
-and the p.g.f. kernel, which alone needs the adaptive quadrature below).
+them or when an integral has no rational value (logarithms, exponentials).
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
-from .errors import QuadratureError, ValidationError
+from .errors import ValidationError
 
 Num = int | Fraction | float
 
@@ -138,8 +136,9 @@ class Segment:
 class MixingDistribution:
     """Point masses plus a piecewise-constant density on [0, inf).
 
-    Constructor invariants: every scalar is finite, every atom has positive
-    mass at a strictly positive location, segments are disjoint with
+    Every scalar is read by ``parse_number`` (a string such as "1/7" is exact, an int
+    becomes a Fraction, a bool is refused). Invariants: every scalar is finite, every atom
+    has positive mass at a strictly positive location, segments are disjoint with
     non-negative density, and the total mass is one (exactly for rational
     data, within MASS_TOL otherwise). Atoms and segments are stored sorted
     by location. ``_live_segments`` and ``_means`` are worked out once and kept
@@ -151,16 +150,17 @@ class MixingDistribution:
     segments: tuple[Segment, ...] = ()
 
     def __post_init__(self) -> None:
-        exact = self.exact
-        if not exact:
-            for part in (*self.atoms, *self.segments):
-                for f in fields(part):
-                    x = getattr(part, f.name)
-                    if not is_exact(x) and not math.isfinite(x):
-                        kind = type(part).__name__.lower()
-                        raise ValidationError(f"{kind} {f.name}={x!r} is not finite")
-        atoms = tuple(sorted(self.atoms, key=lambda a: a.y))
-        segments = tuple(sorted(self.segments, key=lambda s: s.lo))
+        def parsed(part):  # the part itself when each scalar is a Fraction or a finite float
+            given = vars(part)
+            if not all(isinstance(x, (Fraction, float)) for x in given.values()):
+                return parsed(type(part)(**{k: parse_number(x) for k, x in given.items()}))
+            for k, x in given.items():
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValidationError(f"{type(part).__name__.lower()} {k}={x!r} is not finite")
+            return part
+
+        atoms = tuple(sorted(map(parsed, self.atoms), key=lambda a: a.y))
+        segments = tuple(sorted(map(parsed, self.segments), key=lambda s: s.lo))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", segments)
         seen = set()
@@ -187,17 +187,16 @@ class MixingDistribution:
                     f"segments [{left.lo}, {left.hi}) and [{right.lo}, {right.hi}) overlap"
                 )
         total = self.total_mass
-        if exact:
+        if self.exact:
             if total != 1:
                 raise ValidationError(f"total mass is {total}, must be exactly 1")
         elif abs(total - 1) > MASS_TOL:
             raise ValidationError(f"total mass is {total!r}, must be 1 within {MASS_TOL}")
 
     @property
-    def exact(self) -> bool:
-        return all(is_exact(a.y) and is_exact(a.p) for a in self.atoms) and all(
-            is_exact(s.lo) and is_exact(s.hi) and is_exact(s.density) for s in self.segments
-        )
+    def exact(self) -> bool:  # the constructor leaves each scalar a Fraction or a float
+        return not any(isinstance(x, float) for part in (*self.atoms, *self.segments)
+                       for x in vars(part).values())
 
     @property
     def total_mass(self) -> Num:
@@ -205,11 +204,25 @@ class MixingDistribution:
 
     @cached_property
     def _live_segments(self) -> tuple[tuple[float, float, float], ...]:
-        """Segments as float (lo, hi, density) triples, leaving out those whose density
-        rounds to 0.0: under 2**-1074 on a width a float can hold, such a segment carries
-        less than 1e-15 of mass, far below the 1e-10 budget of ``pgf_eval``."""
-        dens = ((s, float(s.density)) for s in self.segments)
-        return tuple((float(s.lo), float(s.hi), d) for s, d in dens if d > 0)
+        """Segments as float (lo, hi, density) triples, less those of density 0.0 as a float.
+        The law is refused when a segment lies past the float range, or when the triples
+        misstate the segment mass by more than 1e-11, a tenth of ``pgf_eval``'s budget, as
+        summed exactly: |(float(hi) - float(lo)) - (hi - lo)| * density, or a left-out mass."""
+        live, missed = [], 0
+        for s in (s for s in self.segments if s.density):
+            try:
+                lo, hi, d = float(s.lo), float(s.hi), float(s.density)
+            except OverflowError:
+                raise ValidationError(f"segment [{s.lo}, {s.hi}) of density {s.density} lies "
+                                      "past the float range") from None
+            if d:
+                live.append((lo, hi, d))
+            kept = Fraction(hi) - Fraction(lo) if d else 0  # the width that the triple holds
+            missed += abs(kept - Fraction(s.hi) + Fraction(s.lo)) * Fraction(s.density)
+            if missed > 1e-11:
+                raise ValidationError(f"float endpoints misstate the segment mass by "
+                                      f"{float(missed):.2g} > 1e-11 at segment [{s.lo}, {s.hi})")
+        return tuple(live)
 
     @cached_property
     def _means(self) -> tuple[Num, Num]:
@@ -250,7 +263,7 @@ class MixingDistribution:
 
 def point_mass(y) -> MixingDistribution:
     """Unit mass at a single location."""
-    return MixingDistribution(atoms=(Atom(parse_number(y), Fraction(1)),))
+    return MixingDistribution(atoms=(Atom(y, 1),))
 
 
 def uniform_density(lo, hi) -> MixingDistribution:
@@ -294,70 +307,21 @@ def mix(components: Sequence[tuple[Num, MixingDistribution]]) -> MixingDistribut
     return MixingDistribution(atoms, tuple(segments))
 
 
-#: 15-point Gauss-Legendre rule on [-1, 1], the repr of numpy's leggauss(15)
-_NODES = (-0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
-          -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
-          0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
-          0.8482065834104272, 0.9372733924007058, 0.9879925180204854)
-_WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
-            0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
-            0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-            0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
-_MAX_DEPTH = 48
-
-
-def _panel(g: Callable[[list[float]], Sequence[float]], a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * math.fsum(map(mul, _WEIGHTS, g([mid + half * x for x in _NODES])))
-
-
-def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _panel(g, a, mid)
-    right = _panel(g, mid, b)
-    if abs(whole - (left + right)) <= tol:
-        return left + right
-    if depth >= _MAX_DEPTH:
-        raise QuadratureError(f"quadrature did not converge on [{a}, {b}]")
-    return _refine(g, a, mid, left, 0.5 * tol, depth + 1) + _refine(
-        g, mid, b, right, 0.5 * tol, depth + 1
-    )
-
-
-def quadrature(g: Callable[[list[float]], Sequence[float]], lo, hi, tol: float) -> float:
-    """Adaptive bisection built on a fixed 15-point Gauss-Legendre rule.
-
-    ``g`` is vectorised: it takes the list of a panel's 15 nodes and returns
-    their values in order. The weighted values are summed with ``math.fsum``,
-    and one panel integrates polynomials of degree up to 29 exactly. Panels
-    are split until the whole-panel and split-panel estimates agree within
-    the (bisected) tolerance budget, so the absolute error of the returned
-    value is at most tol for integrands this rule resolves.
-    """
-    if not tol > 0:
-        raise ValidationError(f"quadrature tolerance {tol} must be positive")
-    a, b = float(lo), float(hi)
-    if b <= a:
-        return 0.0
-    return _refine(g, a, b, _panel(g, a, b), tol, 0)
-
-
 def integrate(q: MixingDistribution, at_atom: Callable[[Num], Num],
               over_segment: Callable[[Num, Num, Num], Num]) -> Num:
     """Sum an integral against q: atoms first, then live segments in order.
 
     Atom y contributes ``p * at_atom(y)``; a segment with positive density
-    contributes ``over_segment(lo, hi, density)`` as a whole. Int scalars
-    arrive as Fraction, so integer data integrates exactly, and the fixed
+    contributes ``over_segment(lo, hi, density)`` as a whole. The law holds int
+    scalars as Fraction, so integer data integrates exactly, and the fixed
     summation order keeps float results reproducible bit for bit.
     """
     total: Num = 0
     for a in q.atoms:
-        total += a.p * at_atom(parse_number(a.y))
+        total += a.p * at_atom(a.y)
     for s in q.segments:
         if s.density > 0:
-            total += over_segment(parse_number(s.lo), parse_number(s.hi), s.density)
+            total += over_segment(s.lo, s.hi, s.density)
     return total
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -22,7 +23,7 @@ from itertools import accumulate, pairwise, repeat
 from operator import add, floordiv, mul
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .measures import (
     MASS_TOL,
     MixingDistribution,
@@ -33,7 +34,6 @@ from .measures import (
     is_exact,
     jsonable,
     parse_number,
-    quadrature,
     require_int,
     require_positive,
 )
@@ -65,19 +65,63 @@ def _kernel(y: Num, z: Num) -> Num:  # ``kernel`` of checked arguments, y > 0
         return float(z * y / (1 - z + z * y))
 
 
+#: 15-point Gauss-Legendre rule on [-1, 1], the repr of numpy's leggauss(15)
+_NODES = (-0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+          -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+          0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+          0.8482065834104272, 0.9372733924007058, 0.9879925180204854)
+_WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+            0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+            0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+            0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
+_MAX_DEPTH = 48
+
+
+def _panel(g: Callable[[list[float]], Sequence[float]], a: float, b: float) -> float:
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half * math.fsum(map(mul, _WEIGHTS, g([mid + half * x for x in _NODES])))
+
+
+def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> float:
+    mid = 0.5 * (a + b)
+    left = _panel(g, a, mid)
+    right = _panel(g, mid, b)
+    if abs(whole - (left + right)) <= tol:
+        return left + right
+    if depth >= _MAX_DEPTH:
+        raise NumericError(f"quadrature did not converge on [{a}, {b}]")
+    return _refine(g, a, mid, left, 0.5 * tol, depth + 1) + _refine(
+        g, mid, b, right, 0.5 * tol, depth + 1
+    )
+
+
+def _quadrature(g, a: float, b: float, tol: float) -> float:
+    """Integral of g over [a, b] by adaptive bisection on a fixed 15-point Gauss-Legendre rule.
+
+    ``g`` is vectorised: it takes the list of a panel's 15 nodes and returns
+    their values in order. The weighted values are summed with ``math.fsum``,
+    and one panel integrates polynomials of degree up to 29 exactly. Panels
+    are split until the whole-panel and split-panel estimates agree within
+    the (bisected) tolerance budget, so the absolute error of the returned
+    value is at most tol for integrands this rule resolves.
+    """
+    if not tol > 0:
+        raise ValidationError(f"quadrature tolerance {tol} must be positive")
+    return _refine(g, a, b, _panel(g, a, b), tol, 0)
+
+
 def pgf_eval(q: MixingDistribution, z) -> Num:
     """Candidate p.g.f. value phi(z): the kernel integrated against q.
 
-    Atoms are summed exactly for exact z. Each segment whose density is
-    positive as a float is integrated by adaptive quadrature, with the
-    absolute budget 1e-10 split evenly across those segments. Float results
-    are clamped to [0, 1]; exact results are returned as is.
+    Atoms are summed exactly for exact z. Each of the law's float segments
+    (``_live_segments``, which refuses a law that floats cannot hold) is integrated by
+    ``_quadrature``, with the absolute budget 1e-10 split evenly across them. Float
+    results are clamped to [0, 1]; exact results are returned as is.
 
-    The kernel does have a closed form on [lo, hi), namely
-    (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with c = 1-z, but it cancels
-    as z -> 0 (relative error 1e-11 at z = 1e-6), and on Q = 1/4 at 1/2
-    plus density 1 on [0, 3/4) it moves phi by up to 7e-15 at z = 0.1, 1/3
-    and 0.9. Quadrature stays so that published values do not change.
+    The kernel's closed form on [lo, hi), (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with
+    c = 1-z, cancels as z -> 0 (relative error 1e-11 at z = 1e-6), and on Q = 1/4 at 1/2
+    plus density 1 on [0, 3/4) it moves phi by up to 7e-15, so quadrature stays.
     """
     z = require_positive(z, "evaluation point z", 1)
     zf = float(z)
@@ -90,9 +134,9 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
 
     val: Num = 0
     for a in q.atoms:  # in order, exactly for exact z, as ``integrate`` sums atoms
-        val += a.p * _kernel(parse_number(a.y), z)
+        val += a.p * _kernel(a.y, z)
     for lo, hi, d in live:
-        val += d * quadrature(g, lo, hi, seg_tol / d)
+        val += d * _quadrature(g, lo, hi, seg_tol / d)
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val
@@ -218,7 +262,6 @@ class PmfSequence:
     """
 
     values: tuple[Num, ...]
-    exact: bool
     tail_ratio: Num | None = None
 
     @classmethod
@@ -236,13 +279,12 @@ class PmfSequence:
         total = sum(vals)
         if tail_ratio is not None and vals[-1] > 0:
             total = total + vals[-1] * tail_ratio / (1 - tail_ratio)
-        exact = all(is_exact(v) for v in vals) and (tail_ratio is None or is_exact(tail_ratio))
-        if exact:
+        if all(is_exact(v) for v in vals) and (tail_ratio is None or is_exact(tail_ratio)):
             if total > 1:
                 raise ValidationError(f"pmf mass {total} exceeds 1")
         elif total > 1 + MASS_TOL:
             raise ValidationError(f"pmf mass {float(total)!r} exceeds 1")
-        return cls(vals, exact, tail_ratio)
+        return cls(vals, tail_ratio)
 
     @property
     def N(self) -> int:
@@ -411,8 +453,10 @@ class CounterexampleParams:
 
     @property
     def admissible(self) -> bool:
-        """Sufficient condition for the tails to be monotone at every order."""
-        return self.beta >= Fraction(1, 3) and self.alpha < Fraction(2, 7)
+        """Sufficient condition for valid tails, monotone at every order: beta >= 1/3, alpha
+        < 2/7 and ``monotonicity_condition(self, 0)``, which then implies every later step."""
+        return (self.beta >= Fraction(1, 3) and self.alpha < Fraction(2, 7)
+                and monotonicity_condition(self, 0))
 
 
 def counterexample_params(alpha, beta) -> CounterexampleParams:

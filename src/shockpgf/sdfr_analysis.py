@@ -50,9 +50,6 @@ class DifferenceTable:
     def J(self) -> int:
         return len(self.entries) - 1
 
-    def value(self, j: int, k: int) -> Num:
-        return self.entries[j][k]
-
     def to_csv(self) -> str:
         width = len(self.entries[0])
         return csv_text(["j", *(f"k={k}" for k in range(width))],

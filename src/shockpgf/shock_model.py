@@ -169,7 +169,7 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
     Exact at t = 0 for exact g; otherwise atoms give exp(-t*y) and a
     segment [lo, hi) gives exp(-t*lo) * -expm1(-t*(hi-lo)) / t per unit
     density, which does not cancel as t -> 0 the way the difference
-    (exp(-t*lo) - exp(-t*hi)) / t does.
+    (exp(-t*lo) - exp(-t*hi)) / t does. For t > 0, scalars past the float range are refused.
     """
     t = parse_number(t)
     tf = require_nonnegative(t, "time t={}")
@@ -177,9 +177,12 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
         val = integrate(g, lambda y: Fraction(1) if is_exact(y) else 1.0,
                         lambda lo, hi, d: d * (hi - lo))
     else:
-        val = integrate(g, lambda y: math.exp(-tf * float(y)),
-                        lambda lo, hi, d: d * (math.exp(-tf * float(lo))
-                                               * -math.expm1(-tf * float(hi - lo)) / tf))
+        try:
+            val = integrate(g, lambda y: math.exp(-tf * float(y)),
+                            lambda lo, hi, d: d * (math.exp(-tf * float(lo))
+                                                   * -math.expm1(-tf * float(hi - lo)) / tf))
+        except OverflowError:  # float() of an exact scalar past the float range
+            raise ValidationError("a rate or density lies past the float range") from None
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
     return val

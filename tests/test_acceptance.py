@@ -77,7 +77,7 @@ def test_criterion_01_counterexample_reproduction(capsys):
         ok, first = is_completely_monotone(t, 12, 0)
         assert not ok
         assert first[0] == 2
-        d2 = difference_table(t.values, 2).value(2, first[1])
+        d2 = difference_table(t.values, 2).entries[2][first[1]]
         assert d2 < 0  # same sign as the reported -0.00523
         assert d2 == F(-121, 4116)
         elapsed = time.perf_counter() - start

@@ -280,6 +280,39 @@ def test_float_reports_on_exact_scalars_past_the_float_range(args):
     assert res.exit_code == 0, res.output
 
 
+HUGE_SEGMENT = json.dumps({"atoms": [{"y": "1/2", "p": "1/2"}],
+                           "segments": [{"lo": str(10**400), "hi": str(10**400 + 1),
+                                         "density": "1/2"}]})
+
+
+@pytest.mark.parametrize("args", [("pgf", "--z", "0.5"), ("laplace",), ("bounds", "--z", "0.5")])
+def test_segment_past_the_float_range_is_exit_2(args):
+    """float(10**400) raised OverflowError, exit 1; the law is refused and the segment named."""
+    res = run(args[0], "--dist", HUGE_SEGMENT, *args[1:])
+    assert res.exit_code == 2, res.output
+    assert f"segment [{10**400}, {10**400 + 1})" in err_text(res)
+    assert "past the float range" in err_text(res)
+
+
+@pytest.mark.parametrize("args, reason", [
+    (("pgf", "--dist", HALF_ATOM, "--z", "abc"), "cannot parse number 'abc'"),
+    (("pgf", "--dist", HALF_ATOM, "--z", ","), "option --z lists no points"),
+    (("cm-check", "--values", ","), "option --values lists no entries"),
+], ids=["z-abc", "z-comma", "values-comma"])
+def test_unreadable_grids_are_exit_2(args, reason):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert reason in err_text(res)
+
+
+def test_distribution_file_that_is_not_json_is_exit_2(tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text("atoms: 1/2\n", encoding="utf-8")
+    res = run("pgf", "--dist", str(path))
+    assert res.exit_code == 2
+    assert "distribution file is not valid JSON" in err_text(res)
+
+
 RENDER_COMMANDS = {
     "pgf": ("pgf", "--dist", HALF_ATOM),
     "tail": ("tail", "--dist", CE_JSON, "--K", "5"),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import shockpgf
-from shockpgf.measures import _NODES, _WEIGHTS
+from shockpgf.pgf_core import _NODES, _WEIGHTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HALF_ATOM = '{"atoms": [{"y": "1/2", "p": 1}], "segments": []}'

@@ -24,9 +24,10 @@ from shockpgf import (
     rate_mixture,
     resistance_gf,
 )
-from shockpgf.errors import QuadratureError
+from shockpgf.errors import NumericError
 from shockpgf.families import random_mid_mass, random_unit_support, random_with_mass_beyond_two
-from shockpgf.measures import _MAX_DEPTH, _NODES, _WEIGHTS, integrate, is_exact, parse_number
+from shockpgf.measures import integrate, is_exact, parse_number
+from shockpgf.pgf_core import _MAX_DEPTH, _NODES, _WEIGHTS
 
 mp.mp.dps = 40
 
@@ -167,7 +168,7 @@ def _ref_refine(g, a, b, whole, tol, depth):
     if abs(whole - (left + right)) <= tol:
         return left + right
     if depth >= _MAX_DEPTH:
-        raise QuadratureError(f"quadrature did not converge on [{a}, {b}]")
+        raise NumericError(f"quadrature did not converge on [{a}, {b}]")
     return _ref_refine(g, a, mid, left, 0.5 * tol, depth + 1) + _ref_refine(
         g, mid, b, right, 0.5 * tol, depth + 1)
 

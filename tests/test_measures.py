@@ -13,6 +13,7 @@ import pytest
 from shockpgf import (
     Atom,
     MixingDistribution,
+    NumericError,
     Segment,
     ShockModelParams,
     ValidationError,
@@ -34,7 +35,6 @@ from shockpgf import (
     pgf_bounds,
     pgf_eval,
     point_mass,
-    quadrature,
     rate_mixture,
     resistance_gf,
     sample_locations,
@@ -45,7 +45,7 @@ from shockpgf import (
     uniform_density,
 )
 from shockpgf.families import random_unit_support
-from shockpgf.pgf_core import counterexample_Q, counterexample_params
+from shockpgf.pgf_core import _quadrature, counterexample_Q, counterexample_params
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -101,6 +101,35 @@ def test_constructor_rejects_infinite_atom():
         MixingDistribution(atoms=(Atom(0.5, 0.5), Atom(math.inf, 0.5)))
     with pytest.raises(ValidationError, match="hi=inf is not finite"):
         MixingDistribution(segments=(Segment(0.0, 1.0, 1.0), Segment(1.0, math.inf, 0.0)))
+
+
+def test_constructor_parses_every_scalar():
+    """Strings parse exactly and ints become Fraction, as read from JSON, so the JSON bytes
+    stay; a bool or another type is refused when the law is built, not in a report."""
+    q = MixingDistribution((Atom("1/2", "1/4"),), (Segment("0", 1, "3/4"),))
+    assert q == MixingDistribution((Atom(F(1, 2), F(1, 4)),), (Segment(F(0), F(1), F(3, 4)),))
+    assert {type(x) for part in (*q.atoms, *q.segments) for x in vars(part).values()} == {F}
+    assert json.dumps(MixingDistribution((Atom(1, 1),)).to_json_dict()) == (
+        '{"atoms": [{"y": 1, "p": 1}], "segments": []}')
+    for bad in (True, None, [1]):
+        with pytest.raises(ValidationError, match="expected a number"):
+            MixingDistribution((Atom(bad, 1),))
+        with pytest.raises(ValidationError, match="expected a number"):
+            MixingDistribution(segments=(Segment(0, 1, bad),))
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: MixingDistribution((Atom(-1, 1),)), "atom location -1 is negative"),
+    (lambda: MixingDistribution(segments=(Segment(-1, 1, F(1, 2)),)),
+     "segment lower endpoint -1 is negative"),
+    (lambda: MixingDistribution.from_json_dict([{"y": 1, "p": 1}]), "must be a JSON object"),
+    (lambda: uniform_density(1, 0), r"uniform endpoints reversed: \[1, 0\)"),
+    (lambda: mix([(-1, point_mass(1)), (2, point_mass(2))]), "mixture weight -1 is negative"),
+], ids=["negative-atom", "negative-segment", "not-an-object", "reversed-uniform",
+        "negative-weight"])
+def test_measures_refusals(make, reason):
+    with pytest.raises(ValidationError, match=reason):
+        make()
 
 
 def test_float_mass_tolerance():
@@ -174,8 +203,6 @@ def test_segment_split_invariance(spec, cut):
 
 def test_quadrature_tolerance_validation():
     with pytest.raises(ValidationError):
-        quadrature(lambda y: y, 0, 1, -1)
-    with pytest.raises(ValidationError):
         pgf_eval(CE, 1)
     with pytest.raises(ValidationError):
         exp_mixture_survival(CE, -2)
@@ -192,9 +219,18 @@ def test_quadrature_takes_a_panel_of_nodes_and_is_exact_to_degree_29():
             calls.append(list(ys))
             return [(k + 1) * y**k for y in ys]
 
-        assert abs(quadrature(g, 0, 1, 1e-15) - 1) <= 1e-15, k
+        assert abs(_quadrature(g, 0, 1, 1e-15) - 1) <= 1e-15, k
         assert [len(ys) for ys in calls] == [15, 15, 15], k
         assert all(0 < y < 1 and ys == sorted(ys) for ys in calls for y in ys)
+
+
+def test_quadrature_refuses_a_bad_budget_and_stops_at_its_depth_limit():
+    """A budget that is not positive is a usage error; a jump the rule cannot resolve ends
+    in NumericError (CLI exit 3) after 48 bisections, not in a recursion without end."""
+    with pytest.raises(ValidationError, match="tolerance -1 must be positive"):
+        _quadrature(lambda ys: ys, 0.0, 1.0, -1)
+    with pytest.raises(NumericError, match="did not converge"):
+        _quadrature(lambda ys: [float(y > 1 / 3) for y in ys], 0.0, 1.0, 1e-12)
 
 
 def test_cached_law_facts_stay_out_of_equality_json_and_pickle():

@@ -26,6 +26,7 @@ from shockpgf import (
     lemma22_coefficients,
     mass_on,
     monotonicity_condition,
+    pgf_bounds,
     pgf_eval,
     pmf_from_tail,
     point_mass,
@@ -41,7 +42,7 @@ from shockpgf.families import (
     random_unit_support,
     random_with_mass_beyond_two,
 )
-from shockpgf.pgf_core import PmfSequence, TailSequence, _lowest, require_tail
+from shockpgf.pgf_core import CounterexampleParams, PmfSequence, TailSequence, _lowest, require_tail
 
 P17 = counterexample_params("1/7", "2/3")
 CE = counterexample_Q(P17)
@@ -188,7 +189,7 @@ def test_tail_sequence_matches_integrate_and_hausdorff_moments(q, K, data):
     for _ in range(3):
         j = data.draw(st.integers(0, K))
         k = data.draw(st.integers(0, K - j))
-        assert difference_table(t, j).value(j, k) == _hausdorff_moment(q, j, k)
+        assert difference_table(t, j).entries[j][k] == _hausdorff_moment(q, j, k)
 
 
 # an atom beyond 1, a segment reaching past 2, a zero-density segment
@@ -352,6 +353,38 @@ def test_density_below_the_float_range_is_skipped():
         assert pgf_eval(q, z) == pgf_eval(half, z)
 
 
+def _half_atom_and_segment(lo, width):
+    """Mass 1/2 at 1/2 and mass 1/2 spread evenly over [lo, lo + width)."""
+    segment = Segment(lo, lo + width, 1 / (2 * width))
+    return MixingDistribution((Atom(F(1, 2), F(1, 2)),), (segment,))
+
+
+@pytest.mark.parametrize("lo, width, reason", [
+    # float(1 + 1e-20) == 1.0: the segment vanished and phi(1/2) read 0.1667, not 0.4167
+    (F(1), F(1, 10**20), "misstate the segment mass by 0.5"),
+    # both ends round: phi(1/2) was off by 3.4e-9, 34 times the 1e-10 budget
+    (F(1, 3), F(1, 10**9), "misstate the segment mass by 1.4e-08"),
+    # float(10**400) raised OverflowError
+    (F(10**400), F(1), "past the float range"),
+], ids=["width-rounds-to-zero", "ends-round-apart", "past-the-float-range"])
+def test_segments_floats_cannot_hold_are_refused_by_name(lo, width, reason):
+    q = _half_atom_and_segment(lo, width)
+    assert tail_sequence(q, 3).exact  # exact reports still take the law
+    for report in (pgf_eval, pgf_bounds):
+        with pytest.raises(ValidationError, match=reason) as info:
+            report(q, 0.5)
+        assert f"[{lo}, {lo + width})" in str(info.value)
+
+
+def test_float_segment_rounding_within_a_tenth_of_the_budget_is_kept():
+    """The misstatement is exact: 0 on float data, 3e-16 on the counterexample, and about
+    2.2e-13 for the narrow exact segment here."""
+    for q in (_half_atom_and_segment(F(1, 3), F(1, 10**4)), _half_atom_and_segment(1.0, 2**-40),
+              CE):
+        assert 0 < pgf_eval(q, 0.5) < 1
+        assert len(q._live_segments) == len(q.segments)
+
+
 def test_empty_sequence_is_not_a_tail():
     assert tail_validity([]) == (False, "sequence is empty")
     assert tail_validity(iter(())) == (False, "sequence is empty")
@@ -471,6 +504,32 @@ def test_admissible_flag():
     assert P17.admissible
     assert not counterexample_params("1/3", "2/3").admissible  # alpha past 2/7
     assert not counterexample_params("1/7", "1/4").admissible  # beta below 1/3
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_admissible_tails_are_valid(i):
+    """Admissible means a valid tail. On alpha = i/28, beta = j/30 the bounds beta >= 1/3
+    and alpha < 2/7 alone pass 59 pairs with invalid tails, (1/4, 99/100) among them."""
+    for j in range(10, 30):
+        p = CounterexampleParams(F(i, 28), F(j, 30))
+        if p.admissible:
+            assert tail_sequence(counterexample_Q(p), 40).violation is None, (i, j)
+    assert not counterexample_params("1/4", "99/100").admissible
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: TailSequence.from_values([1.0, 0.5]).integers, "only an exact tail"),
+    (lambda: PmfSequence.from_values([]), "at least one entry"),
+    (lambda: PmfSequence.from_values([F(1, 2), F(-1, 4)]), "q_1 = -1/4 is negative"),
+    (lambda: PmfSequence.from_values([F(1, 2), F(3, 4)]), "pmf mass 5/4 exceeds 1"),
+    (lambda: PmfSequence.from_values([0.5, 0.75]), "pmf mass 1.25 exceeds 1"),
+    (lambda: lemma22_coefficients([F(1)], 3), "must be a PmfSequence"),
+    (lambda: CounterexampleParams(0.25, F(1, 2)), "alpha must be a Fraction, got float"),
+], ids=["float-integers", "empty-pmf", "negative-pmf", "exact-pmf-mass", "float-pmf-mass",
+        "lemma22-not-pmf", "float-param"])
+def test_pgf_core_refusals(make, reason):
+    with pytest.raises(ValidationError, match=reason):
+        make()
 
 
 def test_counterexample_cdf_at_one():

@@ -46,10 +46,10 @@ def test_difference_table_recurrence():
     assert t.entries[0] == u
     for j in range(1, 4):
         for k in range(len(u) - j):
-            assert t.value(j, k) == t.value(j - 1, k) - t.value(j - 1, k + 1)
+            assert t.entries[j][k] == t.entries[j - 1][k] - t.entries[j - 1][k + 1]
     # geometric sequence: iterated decrements stay geometric
     g = difference_table(tuple(F(1, 2) ** k for k in range(8)), 4)
-    assert g.value(3, 2) == F(1, 32)
+    assert g.entries[3][2] == F(1, 32)
 
 
 def test_difference_table_validation():
@@ -86,7 +86,7 @@ def test_counterexample_not_completely_monotone():
     ok, first = is_completely_monotone(t, 4, 0)
     assert not ok
     assert first == (2, 1)
-    assert difference_table(t, 2).value(2, 1) == F(-121, 4116)
+    assert difference_table(t, 2).entries[2][1] == F(-121, 4116)
 
 
 def test_cm_tolerance_absorbs_float_noise():

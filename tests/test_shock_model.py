@@ -215,6 +215,17 @@ def test_exp_mixture_survival_values():
         exp_mixture_survival(g, -1)
 
 
+@pytest.mark.parametrize("g", [
+    point_mass(F(10**400)),
+    mix([(F(1, 2), point_mass(1)), (F(1, 2), uniform_density(F(10**400), F(10**400) + 1))]),
+], ids=["atom", "segment"])
+def test_exp_mixture_survival_refuses_rates_past_the_float_range(g):
+    """float(rate) raised OverflowError; t = 0 stays exact."""
+    assert exp_mixture_survival(g, 0) == 1
+    with pytest.raises(ValidationError, match="past the float range"):
+        exp_mixture_survival(g, 1)
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 def test_exp_mixture_matches_survival_series(lam):
     """The failure time is exactly an exponential with rate lam*Y."""
@@ -320,6 +331,13 @@ def test_simulate_refuses_silent_truncation():
         simulate_failure_times(CE, params, 100, 0, tail_model="pareto")
     with pytest.raises(ValidationError, match="time_grid"):
         simulate_failure_times(point_mass(1), ShockModelParams(lam=1), 100, 0)
+
+
+def test_geometric_tail_model_refuses_a_tail_flat_as_floats():
+    """(1 - 10**-20)**k is 1.0 as a float, so there is no ratio to continue with."""
+    params = ShockModelParams(lam=1, time_grid=(1.0,))
+    with pytest.raises(NumericError, match="strictly decreasing positive tail"):
+        simulate_failure_times(point_mass(F(1, 10**20)), params, 100, 0, tail_model="geometric")
 
 
 def test_growing_n_keeps_the_replicate_prefix():
