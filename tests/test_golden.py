@@ -54,6 +54,11 @@ EXTRA = {
                         "--n", "20000", "--seed", "3"],
     "definetti/float": ["simulate", "--dist", json.dumps(LAWS["float"]), "--mode",
                         "definetti", "--z", "0.2,0.6", "--n", "5000", "--seed", "4"],
+    "simulate-harmonic/counterexample": ["simulate", "--dist", json.dumps(LAWS["counterexample"]),
+                                         "--tail-model", "harmonic", "--n", "40000",
+                                         "--seed", "5"],
+    "simulate-none/unit": ["simulate", "--dist", json.dumps(LAWS["unit"]), "--tail-model",
+                           "none", "--n", "40000", "--seed", "6"],
     "cm-values/exact": ["cm-check", "--values", "1,1/2,1/4,1/8"],
     "cm-values/decimal": ["cm-check", "--values", "1,0.6,0.35,0.25,0.2", "--J", "3"],
     "counterexample-K1": ["counterexample", "--alpha", "1/7", "--beta", "2/3", "--K", "1"],
