@@ -39,6 +39,7 @@ from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
 from .sdfr_analysis import is_completely_monotone
 
 _BLOCK = 1 << 14
+_GUIDE = 1 << 14
 _KEY_MASK = (1 << 64) - 1
 
 
@@ -214,25 +215,41 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | None) -> np.ndarray:
-    """Map uniforms to failing-shock indices by inverting P(J > k) = tail[k].
+def _guide_table(tail: np.ndarray) -> np.ndarray:
+    """Indexed search table for ``_invert_tail`` (Chen & Asau 1974).
 
-    Draws landing beyond the stored range follow the declared continuation
-    model; "none" assigns them the first untabulated index, which is why it
-    demands negligible leftover mass.
+    Bucket b covers u in [b/M, (b+1)/M), M = _GUIDE. Over it the index
+    #{k: tail[k] >= u} falls from its value at b/M to its value at
+    (b+1)/M; where the two agree the bucket holds that index, elsewhere -1.
+    The edges b/M are exact floats, so the table decides exactly what the
+    search would.
+    """
+    import numpy as np
+    at = len(tail) - np.searchsorted(tail[::-1], np.arange(_GUIDE + 1) / _GUIDE, side="left")
+    return np.where(at[:-1] == at[1:], at[:-1], -1)
+
+
+def _invert_tail(tail: np.ndarray, guide: np.ndarray, u: np.ndarray, model: str,
+                 ratio: float | None) -> np.ndarray:
+    """Map uniforms u in (0, 1) to failing-shock indices by inverting P(J > k) = tail[k].
+
+    J is #{k: tail[k] >= u}, read from ``guide = _guide_table(tail)``, with a
+    search only for draws in buckets that straddle a tail value (at most
+    K + 1 of the M buckets). Draws with u <= tail[K] land beyond the stored
+    range and follow the declared continuation model; "none" assigns them
+    the first untabulated index K + 1, which is why it demands negligible
+    leftover mass.
     """
     import numpy as np
     K = len(tail) - 1
-    j = np.empty(len(u), dtype=np.int64)
-    body = u > tail[K]
-    asc = tail[::-1]
-    idx = np.searchsorted(asc, u[body], side="left")
-    j[body] = K + 1 - idx
-    rest = ~body
-    if not np.any(rest):
-        return j
+    j = guide[(u * _GUIDE).astype(np.int64)]
+    miss = np.flatnonzero(j < 0)
+    if len(miss):
+        j[miss] = K + 1 - np.searchsorted(tail[::-1], u[miss], side="left")
     if model == "none":
-        j[rest] = K + 1
+        return j
+    rest = np.flatnonzero(j > K)
+    if not len(rest):
         return j
     cond = u[rest] / tail[K]
     if model == "harmonic":
@@ -243,34 +260,34 @@ def _invert_tail(tail: np.ndarray, u: np.ndarray, model: str, ratio: float | Non
     return j
 
 
+def _location_table(q: MixingDistribution):
+    """Cumulative component masses, then a base and a width per component:
+    (y, 0.0) for an atom, (lo, hi - lo) for a segment."""
+    import numpy as np
+    weights = [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments]
+    base = [float(a.y) for a in q.atoms] + [float(s.lo) for s in q.segments]
+    width = [0.0] * len(q.atoms) + [float(s.hi) - float(s.lo) for s in q.segments]
+    return np.cumsum(weights), np.array(base), np.array(width)
+
+
+def _draw_locations(table, n: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+    cum, base, width = table
+    u = rng.random(n) * cum[-1]
+    v = rng.random(n)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    return base[idx] + v * width[idx]
+
+
 def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n locations from q using exactly two uniform blocks from rng.
 
     The first block picks the component by mass, the second places the draw
-    inside a segment (it is ignored for atoms), so the stream consumption
-    depends only on n.
+    inside a segment (an atom adds v * 0.0 to its location), so the stream
+    consumption depends only on n.
     """
-    import numpy as np
     require_int(n, "sample count")
-    n_atoms = len(q.atoms)
-    weights = np.array(
-        [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments], dtype=float
-    )
-    cum = np.cumsum(weights)
-    u = rng.random(n) * cum[-1]
-    v = rng.random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
-    out = np.empty(n, dtype=float)
-    is_atom = idx < n_atoms
-    if n_atoms:
-        atom_y = np.array([float(a.y) for a in q.atoms])
-        out[is_atom] = atom_y[idx[is_atom]]
-    if q.segments:
-        seg_lo = np.array([float(s.lo) for s in q.segments])
-        seg_hi = np.array([float(s.hi) for s in q.segments])
-        si = idx[~is_atom] - n_atoms
-        out[~is_atom] = seg_lo[si] + v[~is_atom] * (seg_hi[si] - seg_lo[si])
-    return out
+    return _draw_locations(_location_table(q), n, rng)
 
 
 @dataclass(frozen=True)
@@ -312,6 +329,8 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     Replicates are generated in fixed-size blocks, each from its own
     counter-based stream derived from (seed, block), so the output depends
     only on (q, params, n, seed) and extending n preserves a common prefix.
+    The analytic column, and with it every refusal, comes before the first
+    draw, as does the allocation of the n-replicate buffer.
     """
     import numpy as np
     _check_sim_args(n, seed)
@@ -331,21 +350,22 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         if len(tail) < 2 or not 0 < tail[-1] < tail[-2]:
             raise NumericError("geometric tail model needs a strictly decreasing positive tail at K")
         ratio = float(tail[-1] / tail[-2])
+    ana = tuple(survival(t_seq, params, t) for t in params.time_grid)
+    guide = _guide_table(tail)
     lam = float(params.lam)
-    times = np.empty(n)
+    times = _replicate_buffer(n)
     for b, start in enumerate(range(0, n, _BLOCK)):
         count = min(_BLOCK, n - start)
-        u = np.maximum(_stream(seed, 2 * b).random(count), 1e-300)
-        j = _invert_tail(tail, u, tail_model, ratio)
+        u = _stream(seed, 2 * b).random(count)
+        j = _invert_tail(tail, guide, np.maximum(u, 1e-300, out=u), tail_model, ratio)
         gaps = _stream(seed, 2 * b + 1).gamma(shape=j.astype(np.float64), scale=1.0 / lam)
         times[start:start + count] = gaps
-    emp, se, ana = [], [], []
+    emp, se = [], []
     for t in params.time_grid:
-        p = float(np.mean(times > t))
+        p = np.count_nonzero(times > t) / n
         emp.append(p)
         se.append(math.sqrt(p * (1.0 - p) / n))
-        ana.append(survival(t_seq, params, t))
-    return SimulatedCurve("t", params.time_grid, tuple(emp), tuple(se), tuple(ana), n, seed)
+    return SimulatedCurve("t", params.time_grid, tuple(emp), tuple(se), ana, n, seed)
 
 
 def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedCurve:
@@ -353,8 +373,8 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> Sim
 
     Requires q supported in (0, 1]. Each replicate draws y from q and then
     a geometric count with success chance y; the empirical mean of z**N is
-    compared with the mixture p.g.f. Block structure and determinism match
-    ``simulate_failure_times``.
+    compared with the mixture p.g.f. Block structure, determinism and the
+    refusals before the first draw match ``simulate_failure_times``.
     """
     import numpy as np
     _check_sim_args(n, seed)
@@ -364,19 +384,31 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> Sim
     zs = [float(require_positive(z, "grid point z", 1)) for z in z_grid]
     if not zs:
         raise ValidationError("z grid must be non-empty")
-    counts = np.empty(n, dtype=np.int64)
+    ana = tuple(float(pgf_eval(q, z)) for z in zs)
+    table = _location_table(q)
+    counts = _replicate_buffer(n)
     for b, start in enumerate(range(0, n, _BLOCK)):
         count = min(_BLOCK, n - start)
-        y = sample_locations(q, count, _stream(seed, 2 * b))
-        y = np.clip(y, 1e-12, 1.0)
-        counts[start:start + count] = _stream(seed, 2 * b + 1).geometric(y)
-    emp, se, ana = [], [], []
+        y = _draw_locations(table, count, _stream(seed, 2 * b))
+        counts[start:start + count] = _stream(seed, 2 * b + 1).geometric(
+            np.clip(y, 1e-12, 1.0, out=y))
+    emp, se = [], []
     for z in zs:
-        vals = np.power(z, counts.astype(np.float64))
+        vals = np.power(z, counts)
         emp.append(float(np.mean(vals)))
         se.append(float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
-        ana.append(float(pgf_eval(q, z)))
-    return SimulatedCurve("z", tuple(zs), tuple(emp), tuple(se), tuple(ana), n, seed)
+    return SimulatedCurve("z", tuple(zs), tuple(emp), tuple(se), ana, n, seed)
+
+
+def _replicate_buffer(n: int) -> np.ndarray:
+    """An uninitialised float64 buffer of n replicates, or ValidationError naming n."""
+    import numpy as np
+    try:
+        return np.empty(n)
+    except (MemoryError, ValueError):
+        raise ValidationError(
+            f"replicate count n={n} is too large: its {8 * n}-byte buffer cannot be allocated"
+        ) from None
 
 
 def _check_sim_args(n, seed) -> None:

@@ -193,6 +193,14 @@ def test_simulate_truncation_failure_is_exit_3():
     assert "tail_model" in err_text(res)
 
 
+@pytest.mark.parametrize("mode", ["failure", "definetti"])
+def test_simulate_refuses_an_unallocatable_replicate_count(mode):
+    n = str(2**45)
+    res = run("simulate", "--dist", UNIT_ATOM, "--mode", mode, "--n", n)
+    assert res.exit_code == 2
+    assert f"replicate count n={n} is too large" in err_text(res)
+
+
 def test_usage_errors_are_exit_2():
     res = run("pgf", "--dist", "{not json")
     assert res.exit_code == 2

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockpgf import (
+    Atom,
+    MixingDistribution,
     NumericError,
     Segment,
     ShockModelParams,
@@ -34,8 +36,9 @@ from shockpgf import (
     tail_sequence,
     uniform_density,
 )
+from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
-from shockpgf.shock_model import _invert_tail
+from shockpgf.shock_model import _GUIDE, _guide_table, _invert_tail
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -277,18 +280,67 @@ def test_skeleton_check_validates_exact_tails_before_rounding():
         sdfr_skeleton_check(TailSequence.from_values(u), params, 0.1, 2, n_points=3)
 
 
+def invert(tail, u, model, ratio):
+    tail = np.asarray(tail, dtype=float)
+    return _invert_tail(tail, _guide_table(tail), np.asarray(u, dtype=float), model, ratio)
+
+
 def test_invert_tail_body_and_continuations():
     tail = np.array([1.0, 0.5, 0.25])
     u = np.array([0.6, 0.5, 0.26, 0.9999])
-    j = _invert_tail(tail, u, "none", None)
+    j = invert(tail, u, "none", None)
     assert list(j) == [1, 2, 2, 1]  # P(J = 0) is 1 - tail[0] = 0
     # below the stored range each model extends differently
     u = np.array([0.125, 0.124, 0.2])
-    assert list(_invert_tail(tail, u, "geometric", 0.5)) == [3, 4, 3]
+    assert list(invert(tail, u, "geometric", 0.5)) == [3, 4, 3]
     tail2 = np.array([1.0, 0.5])
     # harmonic: P(J > j) continues as 0.5 * 2 / (j + 1)
-    assert list(_invert_tail(tail2, np.array([0.25]), "harmonic", None)) == [4]
-    assert list(_invert_tail(tail, np.array([0.1]), "none", None)) == [3]
+    assert list(invert(tail2, [0.25], "harmonic", None)) == [4]
+    assert list(invert(tail, [0.1], "none", None)) == [3]
+
+
+def searched_inverse(tail, u, model, ratio):
+    """Reference inversion: one search over the tabulated range, then the model's
+    continuation for draws with u <= tail[K]."""
+    K = len(tail) - 1
+    j = np.empty(len(u), dtype=np.int64)
+    body = u > tail[K]
+    j[body] = K + 1 - np.searchsorted(tail[::-1], u[body], side="left")
+    rest = ~body
+    if model == "none":
+        j[rest] = K + 1
+    elif model == "harmonic":
+        j[rest] = np.floor((K + 1) / (u[rest] / tail[K])).astype(np.int64)
+    else:
+        steps = np.ceil(np.log(u[rest] / tail[K]) / math.log(ratio))
+        j[rest] = K + np.maximum(steps.astype(np.int64), 1)
+    return j
+
+
+DYADIC = st.integers(0, 4 * _GUIDE).map(lambda i: i / (4 * _GUIDE))
+TAILS = st.tuples(
+    st.lists(st.one_of(DYADIC, st.floats(0, 1)), min_size=1, max_size=40),
+    st.booleans(),
+).map(lambda tz: sorted(tz[0], reverse=True) + [0.0] * tz[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TAILS, st.lists(st.integers(1, _GUIDE - 1), max_size=20),
+       st.lists(st.floats(1e-300, 1, exclude_max=True), max_size=20))
+def test_guided_inversion_matches_the_search(tail, buckets, uniforms):
+    """Draws sit on bucket edges, on the tail values and either side of them."""
+    tail = np.array(tail)
+    near = np.concatenate([tail, np.nextafter(tail, 0), np.nextafter(tail, 2)])
+    u = np.concatenate([[1e-300], np.array(buckets) / _GUIDE, near, uniforms])
+    u = u[(u > 0) & (u < 1)]
+    K = len(tail) - 1
+    ratio = tail[K] / tail[K - 1] if K and 0 < tail[K] < tail[K - 1] else 0.5
+    for model in ("none", "harmonic", "geometric"):
+        with np.errstate(invalid="ignore"):  # harmonic indices past int64 wrap alike in both
+            got = _invert_tail(tail, _guide_table(tail), u, model, ratio)
+            want = searched_inverse(tail, u, model, ratio)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), model
 
 
 def test_simulate_failure_times_unit_atom():
@@ -402,6 +454,38 @@ def test_de_finetti_guards():
         simulate_de_finetti(point_mass(1), (0.5,), 0, 0)
     with pytest.raises(ValidationError, match="seed"):
         simulate_de_finetti(point_mass(1), (0.5,), 100, -1)
+
+
+class Drew(Exception):
+    """Raised by a stream that a refused call must never open."""
+
+
+def no_streams(seed, index):
+    raise Drew(seed, index)
+
+
+def test_refused_laws_are_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(shock_model, "_stream", no_streams)
+    thin = MixingDistribution(atoms=(Atom("1/2", "1/2"),),
+                              segments=(Segment(F(1, 3), F(1, 3) + F(1, 10**9), F(10**9, 2)),))
+    with pytest.raises(ValidationError, match="misstate the segment mass"):
+        simulate_de_finetti(thin, (0.5,), 10**6, 0)
+    params = ShockModelParams(lam=1, time_grid=(1.0, 100.0))
+    with pytest.raises(ValidationError, match="tail sequence too short"):
+        simulate_failure_times(point_mass(1), params, 10**6, 0, K=5)
+
+
+@pytest.mark.parametrize("n", [2**45, 2**61])
+def test_unallocatable_replicate_count_is_refused(n, monkeypatch):
+    """Neither buffer fits the 2**47-byte user address space of x86-64 or the
+    largest array size numpy allows, so both refusals come at once whatever
+    the overcommit policy."""
+    monkeypatch.setattr(shock_model, "_stream", no_streams)
+    params = ShockModelParams(lam=1, time_grid=(1.0,))
+    with pytest.raises(ValidationError, match=f"replicate count n={n} is too large"):
+        simulate_failure_times(point_mass(1), params, n, 0, K=50)
+    with pytest.raises(ValidationError, match=f"replicate count n={n} is too large"):
+        simulate_de_finetti(point_mass(1), (0.5,), n, 0)
 
 
 def test_params_validation():
