@@ -88,6 +88,8 @@ def require_int(x, what: str, least: int = 0) -> int:
 def require_positive(x, what: str, hi: Num = math.inf, closed: bool = False) -> Num:
     """parse_number(x), refused unless 0 < x < hi (x <= hi when closed) and float(x) is
     finite; nan, inf and exact values past the float range fail."""
+    if type(x) is float and 0 < x < hi:  # a float inside the open range is finite
+        return x
     v = parse_number(x)
     try:
         ok = (0 < v <= hi if closed else 0 < v < hi) and math.isfinite(v)
@@ -141,8 +143,8 @@ class MixingDistribution:
     has positive mass at a strictly positive location, segments are disjoint with
     non-negative density, and the total mass is one (exactly for rational
     data, within MASS_TOL otherwise). Atoms and segments are stored sorted
-    by location. ``_live_segments`` and ``_means`` are worked out once and kept
-    (the law is frozen and holds immutable numbers); they are not fields, so
+    by location. ``_live_segments``, ``_float_atoms`` and ``_means`` are worked out once
+    and kept (the law is frozen and holds immutable numbers); they are not fields, so
     they stay out of equality, hashing, repr, JSON and pickles.
     """
 
@@ -223,6 +225,15 @@ class MixingDistribution:
                 raise ValidationError(f"float endpoints misstate the segment mass by "
                                       f"{float(missed):.2g} > 1e-11 at segment [{s.lo}, {s.hi})")
         return tuple(live)
+
+    @cached_property
+    def _float_atoms(self) -> tuple[tuple[float, float], ...] | None:
+        """Atoms as float (y, p) pairs, in order, or None when a location lies past the
+        float range (there ``pgf_core._kernel`` rounds the exact value)."""
+        try:
+            return tuple((float(a.y), float(a.p)) for a in self.atoms)
+        except OverflowError:
+            return None
 
     @cached_property
     def _means(self) -> tuple[Num, Num]:

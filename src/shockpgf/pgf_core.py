@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -75,12 +75,12 @@ _WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.139
             0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
             0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
 _MAX_DEPTH = 48
+_RULE = tuple(zip(_NODES, _WEIGHTS))
 
 
-def _panel(g: Callable[[list[float]], Sequence[float]], a: float, b: float) -> float:
+def _panel(g: Callable[[float, float], float], a: float, b: float) -> float:
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * math.fsum(map(mul, _WEIGHTS, g([mid + half * x for x in _NODES])))
+    return half * g(0.5 * (a + b), half)
 
 
 def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> float:
@@ -97,14 +97,14 @@ def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> floa
 
 
 def _quadrature(g, a: float, b: float, tol: float) -> float:
-    """Integral of g over [a, b] by adaptive bisection on a fixed 15-point Gauss-Legendre rule.
+    """Integral of f over [a, b] by adaptive bisection on a fixed 15-point Gauss-Legendre rule.
 
-    ``g`` is vectorised: it takes the list of a panel's 15 nodes and returns
-    their values in order. The weighted values are summed with ``math.fsum``,
-    and one panel integrates polynomials of degree up to 29 exactly. Panels
-    are split until the whole-panel and split-panel estimates agree within
-    the (bisected) tolerance budget, so the absolute error of the returned
-    value is at most tol for integrands this rule resolves.
+    ``g(mid, half)`` is a panel's weighted node sum: ``math.fsum`` of w * f(mid + half*x)
+    over ``_RULE``'s (x, w), in one call per panel, so the integrand's arithmetic fuses
+    with the node and the weight. One panel integrates polynomials of degree up to 29
+    exactly. Panels are split until the whole-panel and split-panel estimates agree within
+    the (bisected) tolerance budget, so the absolute error of the returned value is at most
+    tol for integrands this rule resolves.
     """
     if not tol > 0:
         raise ValidationError(f"quadrature tolerance {tol} must be positive")
@@ -114,10 +114,12 @@ def _quadrature(g, a: float, b: float, tol: float) -> float:
 def pgf_eval(q: MixingDistribution, z) -> Num:
     """Candidate p.g.f. value phi(z): the kernel integrated against q.
 
-    Atoms are summed exactly for exact z. Each of the law's float segments
-    (``_live_segments``, which refuses a law that floats cannot hold) is integrated by
-    ``_quadrature``, with the absolute budget 1e-10 split evenly across them. Float
-    results are clamped to [0, 1]; exact results are returned as is.
+    Atoms are summed exactly for exact z, and for a float z from the law's float (y, p)
+    pairs (``_float_atoms``) with the bits of ``_kernel``, unless one lies past the float
+    range. Each of the law's float segments (``_live_segments``, which refuses a law that
+    floats cannot hold) is integrated by ``_quadrature``, with the absolute budget 1e-10
+    split evenly across them. Float results are clamped to [0, 1]; exact results are
+    returned as is.
 
     The kernel's closed form on [lo, hi), (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with
     c = 1-z, cancels as z -> 0 (relative error 1e-11 at z = 1e-6), and on Q = 1/4 at 1/2
@@ -129,12 +131,17 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
     live = q._live_segments  # float (lo, hi, density), converted once per law
     seg_tol = 1e-10 / max(1, len(live))
 
-    def g(ys: list[float]) -> list[float]:
-        return [zf * y / (c + zf * y) for y in ys]
+    def g(mid: float, half: float) -> float:
+        return math.fsum([w * ((t := zf * (mid + half * x)) / (c + t)) for x, w in _RULE])
 
     val: Num = 0
-    for a in q.atoms:  # in order, exactly for exact z, as ``integrate`` sums atoms
-        val += a.p * _kernel(a.y, z)
+    atoms = None if is_exact(z) else q._float_atoms
+    if atoms is None:  # in order, exactly for exact z, as ``integrate`` sums atoms
+        for a in q.atoms:
+            val += a.p * _kernel(a.y, z)
+    else:
+        for y, p in atoms:
+            val += p * ((t := zf * y) / (c + t))
     for lo, hi, d in live:
         val += d * _quadrature(g, lo, hi, seg_tol / d)
     if not is_exact(val):

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NumericError, ValidationError
 from .measures import (
@@ -82,10 +83,10 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     """
     require_nonnegative(mu, "mean mu={}")
     require_positive(tol, "tol", 1)
-    if mu == 0:
-        return 0
-    log_tol = math.log(tol)
+    return _truncation_order(mu, math.log(tol)) if mu else 0
 
+
+def _truncation_order(mu, log_tol: float) -> int:  # of a checked mu > 0 and log(tol) < 0
     def bounded(k: int) -> bool:
         m = k + 1
         return -mu + m - m * math.log(m / mu) < log_tol
@@ -117,31 +118,45 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     The weights run by the recurrence w_k = w_{k-1} * mu/k from exp(-mu),
     except where exp(-mu) is subnormal or zero (mu past about 708): there
     each weight is formed in log space and the terms are summed with fsum.
-    The table's cached ``violation`` (exact tails as rationals, before
-    rounding) and ``floats`` make a whole curve validate and convert once.
+    The table's ``violation`` (exact tails as rationals, before rounding) and
+    ``floats`` are cached on it; a skeleton reads them once per curve.
     """
-    t = require_nonnegative(t, "time t={}")
+    return _curve(t_seq, params, (require_nonnegative(t, "time t={}"),))[0]
+
+
+def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
+    """``survival`` at each time in turn, refusing as it would at the first time that
+    fails; the table is validated and its floats read once."""
     require_tail(t_seq)
-    mu = float(params.lam) * t
-    if mu == 0:
-        return 1.0
-    K = poisson_truncation_order(mu, params.series_tol)
-    if K > t_seq.K:
-        raise ValidationError(
-            f"tail sequence too short: series at t={t} needs order {K}, have {t_seq.K}"
-        )
-    u = t_seq.floats
+    u, lam, curve = t_seq.floats, float(params.lam), []
+    for t in times:
+        t = require_nonnegative(t, "time t={}")
+        mu = lam * t
+        if mu == 0:
+            curve.append(1.0)
+            continue
+        K = _truncation_order(require_nonnegative(mu, "mean mu={}"), math.log(params.series_tol))
+        if K > t_seq.K:
+            raise ValidationError(f"tail sequence too short: series at t={t} needs order {K}, "
+                                  f"have {t_seq.K}")
+        curve.append(_series(u, mu, K))
+    return curve
+
+
+def _series(u: tuple[float, ...], mu: float, K: int) -> float:
+    """sum_{k <= K} u_k e^{-mu} mu^k/k!, clamped to [0, 1], for mu > 0 and u_0 = 1."""
     w = math.exp(-mu)
     if w < sys.float_info.min:
         log_mu = math.log(mu)
+        # fsum rounds the exact sum once, so the order leaves the bits alone; from the
+        # largest terms (k near mu) outward it keeps few partials and runs about 3x faster
         acc = math.fsum(u[k] * math.exp(k * log_mu - mu - math.lgamma(k + 1))
-                        for k in range(K + 1))
-        return min(max(acc, 0.0), 1.0)
-    acc = 0.0
-    for k in range(K + 1):
-        if k:
+                        for k in chain(range(int(mu), K + 1), reversed(range(int(mu)))))
+    else:
+        acc = u[0] * w
+        for k in range(1, K + 1):
             w *= mu / k
-        acc += u[k] * w
+            acc += u[k] * w
     return min(max(acc, 0.0), 1.0)
 
 
@@ -199,13 +214,13 @@ def sdfr_skeleton_check(t_seq: TailSequence, params: ShockModelParams, delta, J:
     (verdict, first_violation) pair as ``is_completely_monotone`` at tol
     1e-9, which is 1e-9 times the largest skeleton value S(0) = 1.
 
-    Every ``survival`` call reads the table's cached validity and floats.
+    The curve is ``survival`` at each grid point, from one validation of the table.
     """
     delta = float(require_positive(delta, "grid step delta"))
     require_int(J, "skeleton order", 1)
     if require_int(n_points, "skeleton length") < J + 1:
         raise ValidationError(f"need n_points >= J+1 = {J + 1}, have {n_points}")
-    u = [survival(t_seq, params, n * delta) for n in range(n_points)]
+    u = _curve(t_seq, params, (n * delta for n in range(n_points)))
     return is_completely_monotone(u, J, 1e-9)
 
 
@@ -253,7 +268,8 @@ def _invert_tail(tail: np.ndarray, guide: np.ndarray, u: np.ndarray, model: str,
         return j
     cond = u[rest] / tail[K]
     if model == "harmonic":
-        j[rest] = np.floor((K + 1) / cond).astype(np.int64)
+        # at most the largest float below 2**63, so that u near 0 casts to int64
+        j[rest] = np.minimum(np.floor((K + 1) / cond), 2.0**63 - 1024).astype(np.int64)
         return j
     steps = np.ceil(np.log(cond) / math.log(ratio))
     j[rest] = K + np.maximum(steps.astype(np.int64), 1)
@@ -350,7 +366,7 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         if len(tail) < 2 or not 0 < tail[-1] < tail[-2]:
             raise NumericError("geometric tail model needs a strictly decreasing positive tail at K")
         ratio = float(tail[-1] / tail[-2])
-    ana = tuple(survival(t_seq, params, t) for t in params.time_grid)
+    ana = tuple(_curve(t_seq, params, params.time_grid))
     guide = _guide_table(tail)
     lam = float(params.lam)
     times = _replicate_buffer(n)

@@ -45,7 +45,7 @@ from shockpgf import (
     uniform_density,
 )
 from shockpgf.families import random_unit_support
-from shockpgf.pgf_core import _quadrature, counterexample_Q, counterexample_params
+from shockpgf.pgf_core import _RULE, _quadrature, counterexample_Q, counterexample_params
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -209,28 +209,33 @@ def test_quadrature_tolerance_validation():
 
 
 def test_quadrature_takes_a_panel_of_nodes_and_is_exact_to_degree_29():
-    """The integrand gets a panel's 15 nodes at once and returns their values in order;
-    the 15-point rule integrates (k+1)*y**k over [0, 1] to 1 within 1e-15 on the first
-    split (the whole panel and its two halves), for every degree k up to 29."""
+    """The integrand gets a panel's midpoint and half-width and returns the weighted sum
+    over its 15 nodes; the 15-point rule integrates (k+1)*y**k over [0, 1] to 1 within
+    1e-15 on the first split (the whole panel and its two halves), for every degree k up
+    to 29."""
     for k in range(30):
         calls = []
 
-        def g(ys):
-            calls.append(list(ys))
-            return [(k + 1) * y**k for y in ys]
+        def g(mid, half):
+            ys = [mid + half * x for x, _ in _RULE]
+            calls.append((mid, half, ys))
+            return math.fsum(w * ((k + 1) * y**k) for y, (_, w) in zip(ys, _RULE))
 
         assert abs(_quadrature(g, 0, 1, 1e-15) - 1) <= 1e-15, k
-        assert [len(ys) for ys in calls] == [15, 15, 15], k
-        assert all(0 < y < 1 and ys == sorted(ys) for ys in calls for y in ys)
+        assert [(mid, half) for mid, half, _ in calls] == [(0.5, 0.5), (0.25, 0.25),
+                                                            (0.75, 0.25)], k
+        assert [len(ys) for _, _, ys in calls] == [15, 15, 15], k
+        assert all(0 < y < 1 and ys == sorted(ys) for _, _, ys in calls for y in ys)
 
 
 def test_quadrature_refuses_a_bad_budget_and_stops_at_its_depth_limit():
     """A budget that is not positive is a usage error; a jump the rule cannot resolve ends
     in NumericError (CLI exit 3) after 48 bisections, not in a recursion without end."""
     with pytest.raises(ValidationError, match="tolerance -1 must be positive"):
-        _quadrature(lambda ys: ys, 0.0, 1.0, -1)
+        _quadrature(lambda mid, half: mid, 0.0, 1.0, -1)
     with pytest.raises(NumericError, match="did not converge"):
-        _quadrature(lambda ys: [float(y > 1 / 3) for y in ys], 0.0, 1.0, 1e-12)
+        _quadrature(lambda mid, half: math.fsum(w * float(mid + half * x > 1 / 3)
+                                                for x, w in _RULE), 0.0, 1.0, 1e-12)
 
 
 def test_cached_law_facts_stay_out_of_equality_json_and_pickle():

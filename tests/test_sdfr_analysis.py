@@ -12,6 +12,9 @@ from shockpgf import (
     VERDICT_CANDIDATE,
     VERDICT_NOT_PGF,
     VERDICT_UNIT_SUPPORT,
+    Atom,
+    MixingDistribution,
+    Segment,
     TailSequence,
     ValidationError,
     classify_support,
@@ -20,6 +23,7 @@ from shockpgf import (
     difference_table,
     expected_shocks,
     is_completely_monotone,
+    laplace,
     laplace_order_bounds,
     mass_on,
     mix,
@@ -328,3 +332,38 @@ def test_float_bounds_on_an_atom_past_the_float_range(y, value):
     assert (lb.lower, lb.value, lb.upper) == (value, value, value)
     exact = pgf_bounds(q, F(1, 2))
     assert exact.lower == exact.phi == exact.upper == F(1, 1 + 1 / F(y))
+
+
+BIG, TINY = F(10**400), F(1, 10**400)
+# law, then phi at z = 0.3 and at z = 1/3, and laplace at lam = 1 and s = 0.5 and s = 1/2,
+# as the per-atom exact kernel gave them before the float atom pairs; None marks an exact
+# value, which is the exact sum over the atoms
+FAR_ATOM_LAWS = [
+    (MixingDistribution(atoms=(Atom(BIG, F(1, 2)), Atom(TINY, F(1, 4))),
+                        segments=(Segment(F(0), F(1, 2), F(1, 2)),)),
+     (0.523484649818883, 0.5268564486857903), (0.5767132048600137, 0.5767132048600137)),
+    (MixingDistribution(atoms=(Atom(BIG, F(1, 4)), Atom(TINY, F(1, 4)), Atom(F(1, 3), F(1, 2)))),
+     (0.3125, None), (0.44999999999999996, None)),
+    (MixingDistribution(atoms=(Atom(TINY, F(1, 2)), Atom(F(3, 2), F(1, 2)))),
+     (0.1956521739130435, None), (0.37499999999999994, None)),
+]
+
+
+@pytest.mark.parametrize("q, phis, laplaces", FAR_ATOM_LAWS)
+def test_reports_beside_atoms_past_the_float_range(q, phis, laplaces):
+    """Exact atoms at 10**400 and 10**-400 beside ordinary atoms and a segment, at float
+    and exact z: pgf_eval, pgf_bounds and laplace keep their values; a float z reads the
+    exact kernel of each atom rounded once, and an exact z on atoms alone stays exact."""
+    def exact_phi(z):
+        return sum(a.p * z * a.y / (1 - z + z * a.y) for a in q.atoms)
+
+    for z, want in zip((0.3, F(1, 3)), phis):
+        got = pgf_eval(q, z)
+        assert got == (exact_phi(z) if want is None else want)
+        assert type(got) is (F if want is None else float)
+        assert pgf_bounds(q, z).phi == got
+    assert pgf_bounds(q, 0.3).lower == 0.0
+    for s, want in zip((0.5, F(1, 2)), laplaces):
+        got = laplace(q, 1, s)
+        assert got == (exact_phi(F(2, 3)) if want is None else want)
+        assert type(got) is (F if want is None else float)

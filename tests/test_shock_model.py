@@ -3,12 +3,13 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockpgf import (
@@ -94,6 +95,8 @@ def test_truncation_order_matches_linear_walk():
               for _ in range(3000)]
     for mu, tol in pairs:
         assert poisson_truncation_order(mu, tol) == linear_truncation_order(mu, tol), (mu, tol)
+        assert shock_model._truncation_order(mu, math.log(tol)) == poisson_truncation_order(
+            mu, tol), (mu, tol)
 
 
 # the bound holds at the search's start at 1e8 (it walks down) but, by rounding, not at
@@ -280,11 +283,77 @@ def test_skeleton_check_validates_exact_tails_before_rounding():
         sdfr_skeleton_check(TailSequence.from_values(u), params, 0.1, 2, n_points=3)
 
 
+def in_order_series(u, mu, K):
+    """Reference: the Poisson series as first written, one branch per term and the log-space
+    terms summed with fsum in k order."""
+    w = math.exp(-mu)
+    if w < sys.float_info.min:
+        acc = math.fsum(u[k] * math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+                        for k in range(K + 1))
+        return min(max(acc, 0.0), 1.0)
+    acc = 0.0
+    for k in range(K + 1):
+        if k:
+            w *= mu / k
+        acc += u[k] * w
+    return min(max(acc, 0.0), 1.0)
+
+
+def refused_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+CURVE_TABLES = {
+    "stress": counterexample_tail_sequence(counterexample_params("1/7", "2/3"), 1100),
+    "harmonic": TailSequence.from_values(1 / (k + 1) for k in range(1200)),
+    "short": tail_sequence(CE, 10),
+    "increasing": TailSequence.from_values((F(1), F(1, 2), F(3, 4))),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=st.sampled_from(sorted(CURVE_TABLES)), as_float=st.booleans(),
+       lam=st.sampled_from((F(1, 2), 1, 2.5, 5e-324)), n_points=st.integers(2, 45),
+       delta=st.one_of(st.floats(1e-3, 40), st.sampled_from((8e307, 1e308, 1.5e308))))
+@example(table="stress", as_float=True, lam=1, n_points=20, delta=40.0)  # to lam*t = 760
+@example(table="stress", as_float=False, lam=2.5, n_points=40, delta=20.0)  # short at 900
+@example(table="harmonic", as_float=False, lam=1, n_points=45, delta=30.0)  # short at 990
+@example(table="short", as_float=True, lam=1, n_points=10, delta=1.0)  # short at t = 1
+@example(table="stress", as_float=True, lam=5e-324, n_points=3, delta=1e308)  # 2*delta = inf
+@example(table="stress", as_float=True, lam=2.5, n_points=3, delta=1e308)  # lam*t = inf
+@example(table="increasing", as_float=False, lam=1, n_points=3, delta=0.5)
+def test_skeleton_curve_is_survival_point_by_point(table, as_float, lam, n_points, delta):
+    """The skeleton's one-pass curve equals ``survival`` at each n*delta by ==, past
+    lam*t = 708 (the log-space branch) too, and refuses with survival's ValidationError
+    text at the first point survival refuses. Each value is the series as first written."""
+    t_seq = CURVE_TABLES[table]
+    if as_float:
+        t_seq = TailSequence.from_values(t_seq.floats)
+    params = ShockModelParams(lam=lam)
+    want = []
+    for n in range(n_points):
+        v = refused_or_value(survival, t_seq, params, n * delta)
+        if isinstance(v, tuple):
+            want = v
+            break
+        mu = float(params.lam) * (n * delta)
+        if mu:
+            K = poisson_truncation_order(mu, params.series_tol)
+            assert v == in_order_series(t_seq.floats, mu, K), (n, mu)
+        want.append(v)
+    got = refused_or_value(shock_model._curve, t_seq, params, (n * delta for n in range(n_points)))
+    assert got == want
+
+
 def invert(tail, u, model, ratio):
     tail = np.asarray(tail, dtype=float)
     return _invert_tail(tail, _guide_table(tail), np.asarray(u, dtype=float), model, ratio)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invert_tail_body_and_continuations():
     tail = np.array([1.0, 0.5, 0.25])
     u = np.array([0.6, 0.5, 0.26, 0.9999])
@@ -310,7 +379,8 @@ def searched_inverse(tail, u, model, ratio):
     if model == "none":
         j[rest] = K + 1
     elif model == "harmonic":
-        j[rest] = np.floor((K + 1) / (u[rest] / tail[K])).astype(np.int64)
+        below = np.minimum(np.floor((K + 1) / (u[rest] / tail[K])), 2.0**63 - 1024)
+        j[rest] = below.astype(np.int64)
     else:
         steps = np.ceil(np.log(u[rest] / tail[K]) / math.log(ratio))
         j[rest] = K + np.maximum(steps.astype(np.int64), 1)
@@ -324,6 +394,7 @@ TAILS = st.tuples(
 ).map(lambda tz: sorted(tz[0], reverse=True) + [0.0] * tz[1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(TAILS, st.lists(st.integers(1, _GUIDE - 1), max_size=20),
        st.lists(st.floats(1e-300, 1, exclude_max=True), max_size=20))
@@ -336,11 +407,22 @@ def test_guided_inversion_matches_the_search(tail, buckets, uniforms):
     K = len(tail) - 1
     ratio = tail[K] / tail[K - 1] if K and 0 < tail[K] < tail[K - 1] else 0.5
     for model in ("none", "harmonic", "geometric"):
-        with np.errstate(invalid="ignore"):  # harmonic indices past int64 wrap alike in both
-            got = _invert_tail(tail, _guide_table(tail), u, model, ratio)
-            want = searched_inverse(tail, u, model, ratio)
+        got = _invert_tail(tail, _guide_table(tail), u, model, ratio)
+        want = searched_inverse(tail, u, model, ratio)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), model
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, ratio, want", [("none", None, 3), ("geometric", 0.006, 136),
+                                                ("harmonic", None, 2**63 - 1024)])
+def test_invert_tail_at_the_smallest_uniform(model, ratio, want):
+    """The simulators clamp a uniform of 0.0 to 1e-300. Every model maps it to a positive
+    int64 index that ``gamma`` takes as a shape; harmonic's (K+1)/(u/tail[K]) = 9e297
+    stops at the largest float below 2**63 instead of wrapping to -2**63 in the cast."""
+    j = invert([1, 0.5, 0.003], [1e-300], model, ratio)
+    assert j.dtype == np.int64 and list(j) == [want]
+    assert np.random.default_rng(0).gamma(j.astype(np.float64)) > 0
 
 
 def test_simulate_failure_times_unit_atom():
