@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through the click runner."""
 
+import hashlib
 import json
 import math
 import os
@@ -388,6 +389,44 @@ def test_version_flag():
     res = run("--version")
     assert res.exit_code == 0
     assert "0.1.0" in res.output
+
+
+COMMANDS = ["bounds", "classify", "cm-check", "counterexample", "laplace", "pgf", "simulate",
+            "skeleton", "survival", "tail"]
+FIVE_ROWS = "k,value,decimal\n0,1,1.0\n" + "".join(f"{k},0,0.0\n" for k in range(1, 5))
+
+# How the command line is read, whatever parses it: (argv, exit code, check, expected).
+# "sha256" is the digest of stdout, "stdout" and "stderr" name text that stream holds,
+# and None checks the exit code alone. An option takes the next word as its value even
+# when that word starts with '-'; a prefix of an option name is refused.
+PARSE_CONTRACT = {
+    "values-start-negative": (["cm-check", "--values", "-1,1/2,1/4"], 0, "sha256",
+                              "10635f31a069db9f28c74ae733110d6a68314e824bc08327640005921ab2e091"),
+    "grid-starts-negative": (["pgf", "--dist", UNIT_ATOM, "--z", "-0.5,0.5"], 2, "stderr",
+                             "Error: evaluation point z=-0.5 outside (0, 1)"),
+    "prefix-of-format": (["tail", "--dist", UNIT_ATOM, "--for", "json"], 2, "stderr", "--for"),
+    "prefix-of-K": (["tail", "--dist", UNIT_ATOM, "--k", "3"], 2, "stderr", "--k"),
+    "extra-argument": (["tail", "--dist", UNIT_ATOM, "extra"], 2, "stderr", "extra"),
+    "unknown-command": (["tails", "--dist", UNIT_ATOM], 2, "stderr", "tails"),
+    "no-command": ([], 2, None, None),
+    "last-value-wins": (["tail", "--dist", UNIT_ATOM, "--K", "3", "--K", "4"], 0, "sha256",
+                        hashlib.sha256(FIVE_ROWS.encode()).hexdigest()),
+    "help": (["--help"], 0, "stdout", "--version"),
+    **{f"help-{cmd}": ([cmd, "--help"], 0, "stdout", "--format") for cmd in COMMANDS},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CONTRACT))
+def test_parse_contract(case):
+    argv, code, check, want = PARSE_CONTRACT[case]
+    res = run(*argv)
+    assert res.exit_code == code, res.stderr
+    if check == "sha256":
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == want
+    elif check == "stdout":
+        assert want in res.stdout_bytes.decode()
+    elif check == "stderr":
+        assert want in res.stderr
 
 
 @pytest.mark.parametrize("args", [
