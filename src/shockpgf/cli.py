@@ -12,54 +12,37 @@ imports only the modules it calls.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from fractions import Fraction
 
-import click
-
 import shockpgf as sp
 from .errors import NumericError, ValidationError
 
 
-class NumericFailure(click.ClickException):
-    exit_code = 3
-
-
-class Command(click.Command):
-    """A subcommand that maps library errors onto the documented exit codes."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except ValidationError as exc:
-            raise click.UsageError(str(exc), ctx)
-        except NumericError as exc:
-            raise NumericFailure(str(exc))
-
-
 def _load_distribution(text: str | None) -> sp.MixingDistribution:
     if text is None:
-        raise click.UsageError("missing required option '--dist'")
+        raise ValidationError("missing required option '--dist'")
     t = text.strip()
     if t.startswith("{"):
         try:
             doc = json.loads(t)
         except json.JSONDecodeError as exc:
-            raise click.UsageError(f"inline distribution is not valid JSON: {exc}")
+            raise ValidationError(f"inline distribution is not valid JSON: {exc}")
     else:
         try:
             with open(t, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise click.UsageError(f"cannot read distribution file: {exc}")
+            raise ValidationError(f"cannot read distribution file: {exc}")
         except json.JSONDecodeError as exc:
-            raise click.UsageError(f"distribution file is not valid JSON: {exc}")
+            raise ValidationError(f"distribution file is not valid JSON: {exc}")
     try:
         return sp.MixingDistribution.from_json_dict(doc)
     except ValidationError as exc:
-        raise click.UsageError(f"invalid distribution: {exc}")
+        raise ValidationError(f"invalid distribution: {exc}")
 
 
 def _parse_point(token: str):
@@ -68,28 +51,28 @@ def _parse_point(token: str):
     try:
         return Fraction(token) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"cannot parse number {token!r}")
+        raise ValidationError(f"cannot parse number {token!r}")
 
 
 def _parse_grid(text: str, name: str) -> list:
     points = [_parse_point(tok) for tok in text.split(",") if tok.strip()]
     if not points:
-        raise click.UsageError(f"option --{name} lists no points")
+        raise ValidationError(f"option --{name} lists no points")
     return points
 
 
 def _write(out: str, text: str) -> None:
     if out == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror}")
+        raise ValidationError(f"cannot write --out {out!r}: {exc.strerror}")
 
 
-def _emit(out: str, fmt: str, doc, csv) -> None:
+def _emit(a: argparse.Namespace, doc, csv) -> None:
     """Write the requested format; ``doc`` and ``csv`` are thunks and only that one runs.
     ``jsonable`` renders the laws, Fractions and reports that ``json`` cannot encode. Exact
     results pass the 4300-digit limit on int-to-text of Python 3.10.7+, so the limit is
@@ -98,10 +81,11 @@ def _emit(out: str, fmt: str, doc, csv) -> None:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     set_limit(0)
     try:
-        text = json.dumps(doc(), indent=2, default=sp.jsonable) + "\n" if fmt == "json" else csv()
+        text = (json.dumps(doc(), indent=2, default=sp.jsonable) + "\n" if a.format == "json"
+                else csv())
     finally:
         set_limit(limit)
-    _write(out, text)
+    _write(a.out, text)
 
 
 def _cell(first) -> dict | None:
@@ -109,56 +93,22 @@ def _cell(first) -> dict | None:
     return None if first is None else {"j": first[0], "k": first[1]}
 
 
-def io_options(default_format: str):
-    def deco(fn):
-        fn = click.option("--out", default="-", show_default=True,
-                          help="Output path, '-' for stdout.")(fn)
-        fn = click.option("--format", type=click.Choice(["csv", "json"]),
-                          default=default_format, show_default=True)(fn)
-        return fn
-
-    return deco
-
-
-dist_option = click.option("--dist", metavar="JSON_OR_PATH",
-                           help="Mixing distribution: inline JSON or a path to a JSON file.")
-
-
-@click.group()
-@click.version_option(sp.__version__, prog_name="shockpgf")
-def cli():
-    """Mixture p.g.f. and shock-model survival toolkit."""
-
-
-cli.command_class = Command
-
-
-@cli.command()
-@dist_option
-@click.option("--z", default="1/4,1/2,3/4", show_default=True,
-              help="Comma-separated evaluation points in (0, 1).")
-@io_options("csv")
-def pgf(dist, z, format, out):
+def pgf(a):
     """Evaluate the candidate p.g.f. on a grid."""
-    q = _load_distribution(dist)
-    rows = [(pt, sp.pgf_eval(q, pt)) for pt in _parse_grid(z, "z")]
-    _emit(out, format, lambda: {
+    q = _load_distribution(a.dist)
+    rows = [(pt, sp.pgf_eval(q, pt)) for pt in _parse_grid(a.z, "z")]
+    _emit(a, lambda: {
         "command": "pgf",
         "distribution": q,
         "rows": [{"z": pt, "phi": v, "decimal": float(v)} for pt, v in rows],
     }, lambda: sp.measures.csv_text(("z", "phi"), ((float(pt), float(v)) for pt, v in rows)))
 
 
-@cli.command()
-@dist_option
-@click.option("--K", "k", type=int, default=200, show_default=True,
-              help="Largest tail index to tabulate.")
-@io_options("csv")
-def tail(dist, k, format, out):
+def tail(a):
     """Tabulate the shock-resistance tail sequence."""
-    q = _load_distribution(dist)
-    t = sp.tail_sequence(q, k)
-    _emit(out, format, lambda: {
+    q = _load_distribution(a.dist)
+    t = sp.tail_sequence(q, a.K)
+    _emit(a, lambda: {
         "command": "tail",
         "distribution": q,
         "valid": t.violation is None,
@@ -167,34 +117,24 @@ def tail(dist, k, format, out):
     }, t.to_csv)
 
 
-@cli.command("cm-check")
-@dist_option
-@click.option("--values", default=None,
-              help="Check these comma-separated values instead of tails of --dist.")
-@click.option("--K", "k", type=int, default=60, show_default=True,
-              help="Tail truncation order when deriving values from --dist.")
-@click.option("--J", "j", type=int, default=12, show_default=True,
-              help="Highest difference order to inspect.")
-@click.option("--tol", type=float, default=None,
-              help="Negativity tolerance; defaults to 0 for exact input.")
-@io_options("json")
-def cm_check(dist, values, k, j, tol, format, out):
+def cm_check(a):
     """Test a sequence for complete monotonicity."""
-    if values is not None:
+    if a.values is not None:
         # parse_number keeps decimal strings exact, so hand-typed sequences
         # get the zero-tolerance check by default
-        entries = [sp.parse_number(tok.strip()) for tok in values.split(",") if tok.strip()]
+        entries = [sp.parse_number(tok.strip()) for tok in a.values.split(",") if tok.strip()]
         if not entries:
-            raise click.UsageError("option --values lists no entries")
+            raise ValidationError("option --values lists no entries")
         seq, q = sp.TailSequence.from_values(entries), None
     else:
-        q = _load_distribution(dist)
-        seq = sp.tail_sequence(q, k)
-    table = sp.difference_table(seq, min(j, seq.K))
+        q = _load_distribution(a.dist)
+        seq = sp.tail_sequence(q, a.K)
+    table = sp.difference_table(seq, min(a.J, seq.K))
+    tol = a.tol
     if tol is None:
         tol = 0.0 if table.exact else 1e-9 * max(map(abs, seq.floats))
     verdict, first = sp.is_completely_monotone(seq, table.J, tol)
-    _emit(out, format, lambda: {
+    _emit(a, lambda: {
         "command": "cm-check",
         **({"source": "values"} if q is None
            else {"source": "dist", "distribution": q}),
@@ -206,15 +146,12 @@ def cm_check(dist, values, k, j, tol, format, out):
     }, table.to_csv)
 
 
-@cli.command()
-@dist_option
-@io_options("json")
-def classify(dist, format, out):
+def classify(a):
     """Classify the support of a mixing distribution."""
-    q = _load_distribution(dist)
+    q = _load_distribution(a.dist)
     c = sp.classify_support(q)
     ej = sp.expected_shocks(q)
-    _emit(out, format, lambda: {
+    _emit(a, lambda: {
         "command": "classify",
         "distribution": q,
         **c.to_json_dict(),
@@ -223,24 +160,17 @@ def classify(dist, format, out):
                                     [(c.verdict, c.m01, c.m12, c.m2, ej)]))
 
 
-@cli.command()
-@click.option("--alpha", required=True, help="Overshoot width, a rational like 1/7.")
-@click.option("--beta", required=True, help="Overshoot mass, a rational like 2/3.")
-@click.option("--K", "k", type=int, default=200, show_default=True,
-              help="Largest tail index to tabulate.")
-@click.option("--J", "j", type=int, default=12, show_default=True,
-              help="Highest difference order to inspect.")
-@io_options("json")
-def counterexample(alpha, beta, k, j, format, out):
+def counterexample(a):
     """Reproduce the two-segment stress case end to end."""
-    p = sp.counterexample_params(alpha, beta)
+    k = a.K
+    p = sp.counterexample_params(a.alpha, a.beta)
     q = sp.counterexample_Q(p)
     t = sp.counterexample_tail_sequence(p, k)
-    verdict, first = sp.is_completely_monotone(t, min(j, k), 0)
+    verdict, first = sp.is_completely_monotone(t, min(a.J, k), 0)
     mono_fail = next((n for n in range(k // 2 + 1) if not sp.monotonicity_condition(p, n)), None)
     # row 2 at i reads u_i..u_{i+2}: the first 11 entries give the 9 that are printed
     second = sp.difference_table(t.values[:11], 2).entries[2] if k >= 2 else ()
-    _emit(out, format, lambda: {
+    _emit(a, lambda: {
         "command": "counterexample",
         "alpha": p.alpha,
         "beta": p.beta,
@@ -260,21 +190,14 @@ def counterexample(alpha, beta, k, j, format, out):
     }, t.to_csv)
 
 
-@cli.command("survival")
-@dist_option
-@click.option("--lam", default="1", show_default=True, help="Poisson arrival rate.")
-@click.option("--t", default="0,0.5,1,2,4", show_default=True,
-              help="Comma-separated evaluation times.")
-@click.option("--K", "k", type=int, default=200, show_default=True,
-              help="Tail truncation order feeding the series.")
-@io_options("csv")
-def survival_cmd(dist, lam, t, k, format, out):
+def survival(a):
     """Shock-model survival on a time grid."""
-    q = _load_distribution(dist)
-    params = sp.ShockModelParams(lam=sp.parse_number(lam), time_grid=tuple(_parse_grid(t, "t")))
-    t_seq = sp.tail_sequence(q, k)
+    q = _load_distribution(a.dist)
+    params = sp.ShockModelParams(lam=sp.parse_number(a.lam),
+                                 time_grid=tuple(_parse_grid(a.t, "t")))
+    t_seq = sp.tail_sequence(q, a.K)
     rows = [(v, sp.survival(t_seq, params, v)) for v in params.time_grid]
-    _emit(out, format, lambda: {
+    _emit(a, lambda: {
         "command": "survival",
         "distribution": q,
         "lam": params.lam,
@@ -282,18 +205,12 @@ def survival_cmd(dist, lam, t, k, format, out):
     }, lambda: sp.measures.csv_text(("t", "survival"), rows))
 
 
-@cli.command("laplace")
-@dist_option
-@click.option("--lam", default="1", show_default=True, help="Poisson arrival rate.")
-@click.option("--s", default="0.5,1,2", show_default=True,
-              help="Comma-separated transform frequencies.")
-@io_options("csv")
-def laplace_cmd(dist, lam, s, format, out):
+def laplace(a):
     """Failure-time transform on a frequency grid."""
-    q = _load_distribution(dist)
-    lam_v = sp.parse_number(lam)
-    rows = [(pt, sp.laplace(q, lam_v, pt)) for pt in _parse_grid(s, "s")]
-    _emit(out, format, lambda: {
+    q = _load_distribution(a.dist)
+    lam_v = sp.parse_number(a.lam)
+    rows = [(pt, sp.laplace(q, lam_v, pt)) for pt in _parse_grid(a.s, "s")]
+    _emit(a, lambda: {
         "command": "laplace",
         "distribution": q,
         "lam": lam_v,
@@ -301,28 +218,19 @@ def laplace_cmd(dist, lam, s, format, out):
     }, lambda: sp.measures.csv_text(("s", "value"), ((float(pt), float(v)) for pt, v in rows)))
 
 
-@cli.command()
-@dist_option
-@click.option("--z", default=None,
-              help="Comma-separated points in (0, 1); bounds on the p.g.f. scale.")
-@click.option("--s", default=None,
-              help="Comma-separated frequencies; bounds on the transform scale.")
-@click.option("--lam", default="1", show_default=True,
-              help="Arrival rate, used with --s.")
-@io_options("csv")
-def bounds(dist, z, s, lam, format, out):
+def bounds(a):
     """Two-sided bounds around the mixture value."""
-    q = _load_distribution(dist)
-    if (z is None) == (s is None):
-        raise click.UsageError("pass exactly one of --z or --s")
-    if z is not None:
-        results = [sp.pgf_bounds(q, pt) for pt in _parse_grid(z, "z")]
+    q = _load_distribution(a.dist)
+    if (a.z is None) == (a.s is None):
+        raise ValidationError("pass exactly one of --z or --s")
+    if a.z is not None:
+        results = [sp.pgf_bounds(q, pt) for pt in _parse_grid(a.z, "z")]
         scale, header = "pgf", ("z", "lower", "phi", "upper")
     else:
-        lam_v = sp.parse_number(lam)
-        results = [sp.laplace_order_bounds(q, lam_v, pt) for pt in _parse_grid(s, "s")]
+        lam_v = sp.parse_number(a.lam)
+        results = [sp.laplace_order_bounds(q, lam_v, pt) for pt in _parse_grid(a.s, "s")]
         scale, header = "laplace", ("s", "lower", "value", "upper")
-    _emit(out, format, lambda: {
+    _emit(a, lambda: {
         "command": "bounds",
         "scale": scale,
         "distribution": q,
@@ -331,67 +239,141 @@ def bounds(dist, z, s, lam, format, out):
                                              for b in results)))
 
 
-@cli.command("skeleton")
-@dist_option
-@click.option("--lam", default="1", show_default=True, help="Poisson arrival rate.")
-@click.option("--delta", type=float, default=0.5, show_default=True, help="Grid step.")
-@click.option("--J", "j", type=int, default=10, show_default=True,
-              help="Highest difference order to inspect.")
-@click.option("--n-points", type=int, default=40, show_default=True,
-              help="Skeleton length.")
-@click.option("--K", "k", type=int, default=200, show_default=True,
-              help="Tail truncation order feeding the series.")
-@io_options("json")
-def skeleton(dist, lam, delta, j, n_points, k, format, out):
+def skeleton(a):
     """Complete-monotonicity check of the survival skeleton."""
-    q = _load_distribution(dist)
-    params = sp.ShockModelParams(lam=sp.parse_number(lam), series_tol=1e-13)
-    t_seq = sp.tail_sequence(q, k)
-    verdict, first = sp.sdfr_skeleton_check(t_seq, params, delta, j, n_points)
-    _emit(out, format, lambda: {
+    q = _load_distribution(a.dist)
+    params = sp.ShockModelParams(lam=sp.parse_number(a.lam), series_tol=1e-13)
+    t_seq = sp.tail_sequence(q, a.K)
+    verdict, first = sp.sdfr_skeleton_check(t_seq, params, a.delta, a.J, a.n_points)
+    _emit(a, lambda: {
         "command": "skeleton",
         "distribution": q,
         "lam": params.lam,
-        "delta": delta,
-        "J": j,
-        "n_points": n_points,
+        "delta": a.delta,
+        "J": a.J,
+        "n_points": a.n_points,
         "completely_monotone": verdict,
         "first_violation": _cell(first),
     }, lambda: sp.measures.csv_text(
         ("delta", "J", "n_points", "completely_monotone", "first_j", "first_k"),
-        [(delta, j, n_points, verdict, *(first or (None, None)))]))
+        [(a.delta, a.J, a.n_points, verdict, *(first or (None, None)))]))
 
 
-@cli.command()
-@dist_option
-@click.option("--mode", type=click.Choice(["failure", "definetti"]), default="failure",
-              show_default=True, help="failure: shock-model times; definetti: count p.g.f.")
-@click.option("--lam", default="1", show_default=True, help="Poisson arrival rate (failure mode).")
-@click.option("--t", default="0.5,1,2,4", show_default=True,
-              help="Time grid (failure mode).")
-@click.option("--z", default="1/4,1/2,3/4", show_default=True,
-              help="Evaluation grid (definetti mode).")
-@click.option("--n", type=int, default=100000, show_default=True, help="Replicates.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--K", "k", type=int, default=200, show_default=True,
-              help="Tail truncation order (failure mode).")
-@click.option("--tail-model", type=click.Choice(["none", "geometric", "harmonic"]),
-              default="none", show_default=True,
-              help="Continuation of the tails beyond K (failure mode).")
-@io_options("csv")
-def simulate(dist, mode, lam, t, z, n, seed, k, tail_model, format, out):
+def simulate(a):
     """Seeded Monte Carlo against the analytic curves."""
-    q = _load_distribution(dist)
-    if mode == "failure":
-        params = sp.ShockModelParams(lam=sp.parse_number(lam),
-                                     time_grid=tuple(_parse_grid(t, "t")))
-        result = sp.simulate_failure_times(q, params, n, seed, tail_model=tail_model, K=k)
+    q = _load_distribution(a.dist)
+    if a.mode == "failure":
+        params = sp.ShockModelParams(lam=sp.parse_number(a.lam),
+                                     time_grid=tuple(_parse_grid(a.t, "t")))
+        result = sp.simulate_failure_times(q, params, a.n, a.seed, tail_model=a.tail_model,
+                                           K=a.K)
     else:
-        result = sp.simulate_de_finetti(q, _parse_grid(z, "z"), n, seed)
-    _emit(out, format, lambda: {"command": "simulate", "mode": mode,
-                                "distribution": q, **result.to_json_dict()},
+        result = sp.simulate_de_finetti(q, _parse_grid(a.z, "z"), a.n, a.seed)
+    _emit(a, lambda: {"command": "simulate", "mode": a.mode,
+                      "distribution": q, **result.to_json_dict()},
           result.to_csv)
 
 
+def _parser() -> argparse.ArgumentParser:
+    """The root parser and one subparser per command. None of them reads a prefix of an
+    option name as the option, and there is no ``-h``: every option is spelled in full."""
+    kw = dict(allow_abbrev=False, add_help=False,
+              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    root = argparse.ArgumentParser(prog="shockpgf", **kw,
+                                   description="Mixture p.g.f. and shock-model survival toolkit.")
+    root.add_argument("--version", action="version", help="Show the version and exit.",
+                      version=f"shockpgf, version {sp.__version__}")
+    root.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = root.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, name: str, fmt: str, dist: bool = True):
+        """Add one subcommand with its shared options; returns its ``add_argument``."""
+        p = commands.add_parser(name, help=run.__doc__, description=run.__doc__, **kw)
+        p.set_defaults(run=run)
+        if dist:
+            p.add_argument("--dist", metavar="JSON_OR_PATH",
+                           help="Mixing distribution: inline JSON or a path to a JSON file.")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt, help="Output format.")
+        p.add_argument("--out", default="-", help="Output path, '-' for stdout.")
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+        return p.add_argument
+
+    opt = command(pgf, "pgf", "csv")
+    opt("--z", default="1/4,1/2,3/4", help="Comma-separated evaluation points in (0, 1).")
+    opt = command(tail, "tail", "csv")
+    opt("--K", type=int, default=200, help="Largest tail index to tabulate.")
+    opt = command(cm_check, "cm-check", "json")
+    opt("--values", help="Check these comma-separated values instead of tails of --dist.")
+    opt("--K", type=int, default=60,
+        help="Tail truncation order when deriving values from --dist.")
+    opt("--J", type=int, default=12, help="Highest difference order to inspect.")
+    opt("--tol", type=float, help="Negativity tolerance; defaults to 0 for exact input.")
+    command(classify, "classify", "json")
+    opt = command(counterexample, "counterexample", "json", dist=False)
+    opt("--alpha", required=True, help="Overshoot width, a rational like 1/7.")
+    opt("--beta", required=True, help="Overshoot mass, a rational like 2/3.")
+    opt("--K", type=int, default=200, help="Largest tail index to tabulate.")
+    opt("--J", type=int, default=12, help="Highest difference order to inspect.")
+    opt = command(survival, "survival", "csv")
+    opt("--lam", default="1", help="Poisson arrival rate.")
+    opt("--t", default="0,0.5,1,2,4", help="Comma-separated evaluation times.")
+    opt("--K", type=int, default=200, help="Tail truncation order feeding the series.")
+    opt = command(laplace, "laplace", "csv")
+    opt("--lam", default="1", help="Poisson arrival rate.")
+    opt("--s", default="0.5,1,2", help="Comma-separated transform frequencies.")
+    opt = command(bounds, "bounds", "csv")
+    opt("--z", help="Comma-separated points in (0, 1); bounds on the p.g.f. scale.")
+    opt("--s", help="Comma-separated frequencies; bounds on the transform scale.")
+    opt("--lam", default="1", help="Arrival rate, used with --s.")
+    opt = command(skeleton, "skeleton", "json")
+    opt("--lam", default="1", help="Poisson arrival rate.")
+    opt("--delta", type=float, default=0.5, help="Grid step.")
+    opt("--J", type=int, default=10, help="Highest difference order to inspect.")
+    opt("--n-points", type=int, default=40, help="Skeleton length.")
+    opt("--K", type=int, default=200, help="Tail truncation order feeding the series.")
+    opt = command(simulate, "simulate", "csv")
+    opt("--mode", choices=("failure", "definetti"), default="failure",
+        help="failure: shock-model times; definetti: count p.g.f.")
+    opt("--lam", default="1", help="Poisson arrival rate (failure mode).")
+    opt("--t", default="0.5,1,2,4", help="Time grid (failure mode).")
+    opt("--z", default="1/4,1/2,3/4", help="Evaluation grid (definetti mode).")
+    opt("--n", type=int, default=100000, help="Replicates.")
+    opt("--seed", type=int, default=0, help="Random seed.")
+    opt("--K", type=int, default=200, help="Tail truncation order (failure mode).")
+    opt("--tail-model", choices=("none", "geometric", "harmonic"), default="none",
+        help="Continuation of the tails beyond K (failure mode).")
+    return root
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--opt word`` -> ``--opt=word``. Every option but --help and --version takes one
+    value, and it is the next word even when that starts with '-' (``--values -1,1/2``),
+    where argparse would read the word as an option. A closing ``--`` ends no arguments
+    and is dropped; argparse would refuse it."""
+    out, words = [], iter(argv)
+    for word in words:
+        if word[:2] == "--" and "=" not in word and word not in ("--", "--help", "--version"):
+            value = next(words, None)
+            word = word if value is None else f"{word}={value}"
+        out.append(word)
+    return out[:-1] if out[-1:] == ["--"] else out
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code.
+    Invalid input and arguments exit 2 and numeric failures exit 3, each with an
+    ``Error:`` line on stderr; argparse reports its own usage errors, also with 2."""
+    try:
+        a = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # --help and --version exit 0, usage errors exit 2
+        return exc.code
+    try:
+        a.run(a)
+    except (ValidationError, NumericError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, NumericError) else 2
+    return 0
+
+
 if __name__ == "__main__":
-    cli()
+    sys.exit(main())

@@ -59,7 +59,7 @@ class ShockModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", require_positive(self.lam, "arrival rate lam"))
-        require_positive(self.series_tol, "series_tol", 1)
+        object.__setattr__(self, "series_tol", require_positive(self.series_tol, "series_tol", 1))
         grid = tuple(require_nonnegative(t, "time grid entries") for t in self.time_grid)
         object.__setattr__(self, "time_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -1,9 +1,11 @@
-"""End-to-end runs of every subcommand through the click runner."""
+"""End-to-end runs of every subcommand, in process through ``shockpgf.cli.main``."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -11,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_run import run_cli
 
 import shockpgf
 from shockpgf import (
@@ -29,25 +31,15 @@ from shockpgf import (
     shock_model,
     tail_sequence,
 )
-from shockpgf.cli import cli
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 CE_JSON = json.dumps(CE.to_json_dict())
 UNIT_ATOM = json.dumps(point_mass(1).to_json_dict())
 HALF_ATOM = json.dumps(point_mass("1/2").to_json_dict())
 
-runner = CliRunner()
-
 
 def run(*args):
-    return runner.invoke(cli, list(args))
-
-
-def err_text(res) -> str:
-    try:
-        return res.output + res.stderr
-    except ValueError:
-        return res.output
+    return run_cli(args)
 
 
 def test_pgf_csv_unit_atom():
@@ -191,7 +183,7 @@ def test_simulate_failure_smoke_and_determinism():
 def test_simulate_truncation_failure_is_exit_3():
     res = run("simulate", "--dist", CE_JSON, "--t", "1", "--n", "10")
     assert res.exit_code == 3
-    assert "tail_model" in err_text(res)
+    assert "tail_model" in res.stderr
 
 
 @pytest.mark.parametrize("mode", ["failure", "definetti"])
@@ -199,7 +191,7 @@ def test_simulate_refuses_an_unallocatable_replicate_count(mode):
     n = str(2**45)
     res = run("simulate", "--dist", UNIT_ATOM, "--mode", mode, "--n", n)
     assert res.exit_code == 2
-    assert f"replicate count n={n} is too large" in err_text(res)
+    assert f"replicate count n={n} is too large" in res.stderr
 
 
 def test_usage_errors_are_exit_2():
@@ -212,10 +204,10 @@ def test_usage_errors_are_exit_2():
     heavy = json.dumps({"atoms": [{"y": "1/2", "p": 2}], "segments": []})
     res = run("classify", "--dist", heavy)
     assert res.exit_code == 2
-    assert "invalid distribution" in err_text(res)
+    assert "invalid distribution" in res.stderr
     res = run("classify", "--dist", '{"atoms": [{"y": 1, "p": 1}], "segments": 5}')
     assert res.exit_code == 2
-    assert "'segments' must be a list" in err_text(res)
+    assert "'segments' must be a list" in res.stderr
     res = run("counterexample", "--alpha", "7/7", "--beta", "2/3")
     assert res.exit_code == 2
 
@@ -240,7 +232,7 @@ def test_usage_errors_are_exit_2():
 def test_non_finite_times_are_exit_2(args):
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])
     assert res.exit_code == 2
-    assert "finite" in err_text(res)
+    assert "finite" in res.stderr
 
 
 BEYOND_FLOATS = json.dumps({"atoms": [{"y": "1e400", "p": 1}]})
@@ -253,14 +245,14 @@ def test_tails_past_the_float_range_are_exit_2(command):
     """u_1 = 1 - 10**400: the reason names the negative entry without a float of it."""
     res = run(command, "--dist", BEYOND_FLOATS)
     assert res.exit_code == 2, res.output
-    assert "entry k=1 is negative (below -1.7976931348623157e+308)" in err_text(res)
+    assert "entry k=1 is negative (below -1.7976931348623157e+308)" in res.stderr
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tail_past_the_float_range_has_no_decimal_column(fmt):
     res = run("tail", "--dist", BEYOND_FLOATS, "--K", "3", "--format", fmt)
     assert res.exit_code == 2, res.output
-    assert "entry k=1 lies past the float range" in err_text(res)
+    assert "entry k=1 lies past the float range" in res.stderr
 
 
 def test_cm_check_past_the_float_range_gives_its_verdict():
@@ -299,8 +291,8 @@ def test_segment_past_the_float_range_is_exit_2(args):
     """float(10**400) raised OverflowError, exit 1; the law is refused and the segment named."""
     res = run(args[0], "--dist", HUGE_SEGMENT, *args[1:])
     assert res.exit_code == 2, res.output
-    assert f"segment [{10**400}, {10**400 + 1})" in err_text(res)
-    assert "past the float range" in err_text(res)
+    assert f"segment [{10**400}, {10**400 + 1})" in res.stderr
+    assert "past the float range" in res.stderr
 
 
 @pytest.mark.parametrize("args, reason", [
@@ -311,7 +303,7 @@ def test_segment_past_the_float_range_is_exit_2(args):
 def test_unreadable_grids_are_exit_2(args, reason):
     res = run(*args)
     assert res.exit_code == 2
-    assert reason in err_text(res)
+    assert reason in res.stderr
 
 
 def test_distribution_file_that_is_not_json_is_exit_2(tmp_path):
@@ -319,7 +311,7 @@ def test_distribution_file_that_is_not_json_is_exit_2(tmp_path):
     path.write_text("atoms: 1/2\n", encoding="utf-8")
     res = run("pgf", "--dist", str(path))
     assert res.exit_code == 2
-    assert "distribution file is not valid JSON" in err_text(res)
+    assert "distribution file is not valid JSON" in res.stderr
 
 
 RENDER_COMMANDS = {
@@ -376,7 +368,7 @@ def test_unwritable_out_is_exit_2(tmp_path, where):
     target = str(tmp_path / where)
     res = run("pgf", "--dist", UNIT_ATOM, "--out", target)
     assert res.exit_code == 2
-    assert target in err_text(res)
+    assert target in res.stderr
 
 
 def test_json_output_round_trips_distribution():
@@ -389,6 +381,17 @@ def test_version_flag():
     res = run("--version")
     assert res.exit_code == 0
     assert "0.1.0" in res.output
+
+
+def test_script_entry_is_the_cli(capsys):
+    """``[project.scripts]`` names a callable of ``shockpgf.cli`` that runs a command line."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    module, name = re.search(r'^\[project\.scripts\]\nshockpgf = "([\w.]+):(\w+)"$', pyproject,
+                             re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    assert module == "shockpgf.cli" and callable(entry)
+    assert entry(["--version"]) == 0
+    assert capsys.readouterr().out == "shockpgf, version 0.1.0\n"
 
 
 COMMANDS = ["bounds", "classify", "cm-check", "counterexample", "laplace", "pgf", "simulate",
@@ -441,7 +444,7 @@ def test_numeric_budgets_are_not_options(args):
     """Each budget is fixed where it is used; the options that set them are gone."""
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])
     assert res.exit_code == 2
-    assert "No such option" in err_text(res)
+    assert args[-2] in res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -451,7 +454,7 @@ def test_numeric_budgets_are_not_options(args):
 ])
 def test_options_that_choose_the_question_stay(args):
     res = run(args[0], "--dist", HALF_ATOM, *args[1:])
-    assert res.exit_code == 0, err_text(res)
+    assert res.exit_code == 0, res.stderr
 
 
 # Exact outputs past CPython's 4300-digit limit on int-to-text conversion (3.10.7+).

@@ -97,15 +97,17 @@ def test_exact_command_runs_without_numpy():
 
 
 # Runs the CLI in a fresh interpreter, then lists on stderr's last line the library modules
-# it loaded (``shockpgf.*`` but the CLI itself) and numpy when it was loaded.
+# it loaded (``shockpgf.*`` but the CLI itself), and numpy and click when they were loaded.
 LOADED_BY = """
 import json, sys
-from shockpgf.cli import cli
+from shockpgf.cli import main
 try:
-    cli(sys.argv[1:], prog_name="shockpgf")
+    code = main(sys.argv[1:])
 finally:
     names = {m.removeprefix("shockpgf.") for m in sys.modules if m.startswith("shockpgf.")}
-    print(json.dumps(sorted((names - {"cli"}) | ({"numpy"} & set(sys.modules)))), file=sys.stderr)
+    names = (names - {"cli"}) | ({"numpy", "click"} & set(sys.modules))
+    print(json.dumps(sorted(names)), file=sys.stderr)
+sys.exit(code)
 """
 CORE = ["errors", "measures", "pgf_core"]
 ANALYSIS = [*CORE, "sdfr_analysis"]
@@ -130,16 +132,20 @@ LOADS = {
 @pytest.mark.parametrize("case", sorted(LOADS))
 def test_each_command_loads_only_what_it_calls(case):
     """The CLI reads the library through the package, so only simulate loads numpy, and
-    --version or an unreadable --dist loads no library module but ``errors``."""
+    --version or an unreadable --dist loads no library module but ``errors``. No command
+    loads click."""
     args, code, modules = LOADS[case]
     res = run_python("-c", LOADED_BY, *args)
     assert res.returncode == code, res.stderr
-    assert json.loads(res.stderr.splitlines()[-1]) == sorted(modules)
+    loaded = json.loads(res.stderr.splitlines()[-1])
+    assert "click" not in loaded
+    assert loaded == sorted(modules)
 
 
 # Blocks numpy and click, then checks the exact core: every tail entry is a Fraction in the
 # lowest terms of n_k / (M*(k+1)*B**(k+1)), and the CM verdicts of a stress law and a unit
-# law. Any interpreter the package supports can run it with PYTHONPATH pointing at src.
+# law. An exact ``tail`` command then runs through the CLI and prints its table. Any
+# interpreter the package supports can run it with PYTHONPATH pointing at src.
 STDLIB_ONLY = """
 import sys
 
@@ -162,6 +168,9 @@ for t in (ce, tail_sequence(point_mass("1/3"), 60)):
             ref.numerator, ref.denominator), k
 assert is_completely_monotone(ce, 12) == (False, (2, 1))
 assert is_completely_monotone(tail_sequence(point_mass("1/3"), 60), 12) == (True, None)
+
+from shockpgf.cli import main
+assert main(["tail", "--dist", '{"atoms": [{"y": "1/2", "p": 1}]}', "--K", "3"]) == 0
 assert "numpy" not in sys.modules and "click" not in sys.modules
 print("ok", sys.version_info[:2])
 """
@@ -170,7 +179,9 @@ print("ok", sys.version_info[:2])
 def test_exact_core_runs_on_the_standard_library_alone():
     res = run_python("-c", STDLIB_ONLY)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("ok")
+    assert res.stdout.splitlines()[:-1] == ["k,value,decimal", "0,1,1.0", "1,1/2,0.5",
+                                            "2,1/4,0.25", "3,1/8,0.125"]
+    assert res.stdout.splitlines()[-1].startswith("ok")
 
 
 def test_gauss_legendre_literals_are_numpys_rule():

@@ -15,9 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from shockpgf.cli import cli
+from cli_run import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
@@ -84,7 +82,7 @@ def corpus() -> dict[str, list[str]]:
 
 
 def run(argv: list[str]) -> dict:
-    res = CliRunner().invoke(cli, argv)
+    res = run_cli(argv)
     return {"code": res.exit_code, "sha256": hashlib.sha256(res.stdout_bytes).hexdigest()}
 
 

@@ -581,3 +581,13 @@ def test_params_validation():
         ShockModelParams(lam=1, time_grid=(-1.0,))
     p = ShockModelParams(lam="2/3", time_grid=(F(1, 2), 1))
     assert p.lam == F(2, 3) and p.time_grid == (0.5, 1.0)
+
+
+def test_series_tol_given_as_text_is_stored_parsed():
+    """A string tolerance is stored as the number it reads as, so the series gets the same
+    truncation, and the same values, as from the float."""
+    t_seq = tail_sequence(CE, 220)
+    text, number = ShockModelParams(lam=1, series_tol="1e-12"), ShockModelParams(lam=1)
+    assert text.series_tol == F(1, 10**12) and float(text.series_tol) == number.series_tol
+    assert [survival(t_seq, text, t) for t in (0, 0.5, 1, 4, 30)] == [
+        survival(t_seq, number, t) for t in (0, 0.5, 1, 4, 30)]
