@@ -23,9 +23,8 @@ _EXPORTS = {
                       "expected_shocks", "is_completely_monotone", "laplace_order_bounds",
                       "pgf_bounds", "tail_validity"),
     "shock_model": ("ShockModelParams", "SimulatedCurve", "exp_mixture_survival", "laplace",
-                    "poisson_truncation_order", "rate_mixture", "sample_locations",
-                    "sdfr_skeleton_check", "simulate_de_finetti", "simulate_failure_times",
-                    "survival"),
+                    "poisson_truncation_order", "rate_mixture", "sdfr_skeleton_check",
+                    "simulate_de_finetti", "simulate_failure_times", "survival"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

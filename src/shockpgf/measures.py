@@ -10,6 +10,7 @@ them or when an integral has no rational value (logarithms, exponentials).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -28,7 +29,10 @@ def parse_number(x: int | float | str | Fraction) -> Num:
 
     Strings accept both "num/den" and decimal forms and always parse
     exactly. Plain ints are promoted to Fraction so later arithmetic does
-    not silently fall into float division.
+    not silently fall into float division. A decimal is refused when its
+    mantissa digits plus |exponent| pass the int-to-text digit limit (4300
+    when the interpreter sets none): its numerator or denominator might not
+    print, and ``Fraction`` would spend minutes on ``1e100000000``.
     """
     if isinstance(x, bool):
         raise ValidationError(f"expected a number, got {x!r}")
@@ -39,7 +43,11 @@ def parse_number(x: int | float | str | Fraction) -> Num:
     if isinstance(x, float):
         return x
     if isinstance(x, str):
+        mantissa, e, exponent = x.lower().partition("e")
         try:
+            if e and (sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+                      > (getattr(sys, "get_int_max_str_digits", int)() or 4300)):
+                raise ValueError("exponent past the digit limit")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse number {x!r}") from exc

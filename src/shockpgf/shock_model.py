@@ -287,23 +287,14 @@ def _location_table(q: MixingDistribution):
 
 
 def _draw_locations(table, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n locations from two uniform blocks of rng: the first picks the component by mass,
+    the second places the draw inside a segment (an atom adds v * 0.0 to its location)."""
     import numpy as np
     cum, base, width = table
     u = rng.random(n) * cum[-1]
     v = rng.random(n)
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
     return base[idx] + v * width[idx]
-
-
-def sample_locations(q: MixingDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n locations from q using exactly two uniform blocks from rng.
-
-    The first block picks the component by mass, the second places the draw
-    inside a segment (an atom adds v * 0.0 to its location), so the stream
-    consumption depends only on n.
-    """
-    require_int(n, "sample count")
-    return _draw_locations(_location_table(q), n, rng)
 
 
 @dataclass(frozen=True)

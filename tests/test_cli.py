@@ -299,7 +299,10 @@ def test_segment_past_the_float_range_is_exit_2(args):
     (("pgf", "--dist", HALF_ATOM, "--z", "abc"), "cannot parse number 'abc'"),
     (("pgf", "--dist", HALF_ATOM, "--z", ","), "option --z lists no points"),
     (("cm-check", "--values", ","), "option --values lists no entries"),
-], ids=["z-abc", "z-comma", "values-comma"])
+    # a refusal of such a rate could not print it, so the number is refused as given
+    *((("laplace", "--dist", HALF_ATOM, "--lam", lam), f"cannot parse number '{lam}'")
+      for lam in ("1e4300", "1e-4300", "1e1000000")),
+], ids=["z-abc", "z-comma", "values-comma", "lam-1e4300", "lam-1e-4300", "lam-1e1000000"])
 def test_unreadable_grids_are_exit_2(args, reason):
     res = run(*args)
     assert res.exit_code == 2
@@ -312,6 +315,25 @@ def test_distribution_file_that_is_not_json_is_exit_2(tmp_path):
     res = run("pgf", "--dist", str(path))
     assert res.exit_code == 2
     assert "distribution file is not valid JSON" in res.stderr
+
+
+def test_distribution_file_that_is_not_utf8_is_exit_2(tmp_path):
+    path = tmp_path / "law.json"
+    path.write_bytes(b'\xff\xfe{"atoms": [{"y": 1, "p": 1}]}')
+    res = run("pgf", "--dist", str(path))
+    assert (res.exit_code, res.stdout_bytes) == (2, b"")
+    assert "distribution file is not valid JSON: 'utf-8' codec" in res.stderr
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_integer_literal_past_the_digit_limit_is_exit_2(tmp_path, where):
+    """json reads a 4401-digit literal through int(), which the digit limit refuses."""
+    text = '{"atoms": [{"y": 1, "p": 1' + "0" * 4400 + "}]}"
+    path = tmp_path / "law.json"
+    path.write_text(text, encoding="utf-8")
+    res = run("pgf", "--dist", text if where == "inline" else str(path))
+    assert (res.exit_code, res.stdout_bytes) == (2, b"")
+    assert "not valid JSON: Exceeds the limit" in res.stderr
 
 
 RENDER_COMMANDS = {
@@ -415,6 +437,13 @@ PARSE_CONTRACT = {
     "last-value-wins": (["tail", "--dist", UNIT_ATOM, "--K", "3", "--K", "4"], 0, "sha256",
                         hashlib.sha256(FIVE_ROWS.encode()).hexdigest()),
     "help": (["--help"], 0, "stdout", "--version"),
+    "pgf-without-dist": (["pgf", "--z", "0.5"], 2, "stderr", "--dist"),
+    "bounds-without-scale": (["bounds", "--dist", UNIT_ATOM], 2, "stderr", "--z"),
+    "bounds-with-both-scales": (["bounds", "--dist", UNIT_ATOM, "--z", "0.5", "--s", "1"], 2,
+                                "stderr", "--s"),
+    "cm-check-without-source": (["cm-check", "--J", "3"], 2, "stderr", "--values"),
+    "cm-check-with-both-sources": (["cm-check", "--values", "1,1/2", "--dist", UNIT_ATOM], 2,
+                                   "stderr", "--dist"),
     **{f"help-{cmd}": ([cmd, "--help"], 0, "stdout", "--format") for cmd in COMMANDS},
 }
 
@@ -424,6 +453,8 @@ def test_parse_contract(case):
     argv, code, check, want = PARSE_CONTRACT[case]
     res = run(*argv)
     assert res.exit_code == code, res.stderr
+    if code:
+        assert res.stdout_bytes == b""
     if check == "sha256":
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == want
     elif check == "stdout":
@@ -464,10 +495,10 @@ B6_LAW = MixingDistribution.from_json_dict(
     {"atoms": [{"y": "1/3", "p": "1/2"}, {"y": "1/2", "p": "1/2"}], "segments": []})
 
 
-def run_process(*args: str) -> subprocess.CompletedProcess:
+def run_process(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "shockpgf.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @contextmanager
@@ -513,3 +544,14 @@ def test_inputs_past_the_digit_limit_are_still_refused():
                       "--K", "6")
     assert res.returncode == 2
     assert "cannot parse number" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("laplace", "--dist", HALF_ATOM, "--lam", "1e100000000"),
+    ("pgf", "--dist", json.dumps({"atoms": [{"y": "1e100000000", "p": 1}]})),
+], ids=["option", "json-scalar"])
+def test_huge_exponents_are_refused_at_once(args):
+    """Fraction would build 10**100000000 in full, which takes minutes."""
+    res = run_process(*args, timeout=20)
+    assert res.returncode == 2
+    assert "cannot parse number '1e100000000'" in res.stderr

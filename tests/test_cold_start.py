@@ -76,7 +76,8 @@ def test_exports_are_listed_once():
 
 
 def test_unknown_names_raise_attribute_error():
-    for name in ("tail_violation", "SimulatedSurvival", "SimulatedPgf", "no_such_name"):
+    for name in ("tail_violation", "SimulatedSurvival", "SimulatedPgf", "sample_locations",
+                 "no_such_name"):
         assert not hasattr(shockpgf, name)
         with pytest.raises(AttributeError, match=name):
             getattr(shockpgf, name)

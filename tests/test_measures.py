@@ -37,7 +37,6 @@ from shockpgf import (
     point_mass,
     rate_mixture,
     resistance_gf,
-    sample_locations,
     sdfr_skeleton_check,
     simulate_de_finetti,
     simulate_failure_times,
@@ -57,9 +56,15 @@ def test_parse_number_keeps_rationals_exact():
     assert isinstance(parse_number(0.25), float)
     assert is_exact(parse_number("2/3"))
     assert not is_exact(0.5)
+    # mantissa digits plus |exponent| up to the 4300-digit limit
+    assert parse_number("1e4299") == 10**4299
+    assert parse_number("1E-4299") == F(1, 10**4299)
+    assert parse_number("2.5e-1") == parse_number(" 25E-2 ") == F(1, 4)
 
 
-@pytest.mark.parametrize("bad", [True, "1/0", "abc", None])
+# the last five pass the digit limit: a numerator or denominator that would not print
+@pytest.mark.parametrize("bad", [True, "1/0", "abc", None, "1e4300", "12e4299", "1e-4300",
+                                 "-2.5E+9000", "1e1000000"])
 def test_parse_number_rejects(bad):
     with pytest.raises(ValidationError):
         parse_number(bad)
@@ -295,6 +300,13 @@ def test_mix_merges_overlapping_segments():
     assert mass_on(m, 0, 1) == F(2, 3)
 
 
+def test_mix_skips_zero_weights_and_joins_equal_neighbours():
+    assert mix([(0, point_mass(2)), (1, point_mass(1))]) == point_mass(1)
+    # [0, 1/2) and [1/2, 1) at density 1 each become one segment
+    m = mix([(F(1, 2), uniform_density(0, F(1, 2))), (F(1, 2), uniform_density(F(1, 2), 1))])
+    assert m.segments == uniform_density(0, 1).segments
+
+
 def test_mix_merges_coinciding_atoms():
     m = mix([(F(1, 2), point_mass(1)), (F(1, 2), point_mass(1))])
     assert m.atoms == (Atom(F(1), F(1)),)
@@ -367,7 +379,6 @@ COUNT_GUARDS = {
                                                        0.5, 2, x),
     "simulate_n": lambda x: simulate_failure_times(_HALF, _PARAMS, x, 0, K=80),
     "simulate_seed": lambda x: simulate_failure_times(_HALF, _PARAMS, 10, x, K=80),
-    "sample_locations": lambda x: sample_locations(_HALF, x, np.random.default_rng(0)),
 }
 
 
