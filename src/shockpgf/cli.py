@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -61,16 +60,16 @@ def _parse_grid(text: str, name: str) -> list:
 
 def _emit(a: argparse.Namespace, doc, csv) -> None:
     """Write the requested format, the JSON document under its ``command``; ``doc`` and
-    ``csv`` are thunks and only that one runs. ``jsonable`` renders the laws, Fractions and
-    reports that ``json`` cannot encode. Exact results pass the 4300-digit limit on
-    int-to-text of Python 3.10.7+, so the limit is lifted for this render only: it still
-    guards the parsing of every input."""
+    ``csv`` are thunks and only that one runs. ``jsonable`` renders the document first,
+    so it holds nothing that strict (RFC 8259) JSON cannot. Exact results pass the
+    4300-digit limit on int-to-text of Python 3.10.7+, so the limit is lifted for this
+    render only: it still guards the parsing of every input."""
     set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)  # absent before 3.10.7
     limit = getattr(sys, "get_int_max_str_digits", int)()
     set_limit(0)
     try:
-        text = (json.dumps({"command": a.command, **doc()}, indent=2, default=sp.jsonable)
-                + "\n" if a.format == "json" else csv())
+        text = (json.dumps(sp.jsonable({"command": a.command, **doc()}), indent=2,
+                           allow_nan=False) + "\n" if a.format == "json" else csv())
     finally:
         set_limit(limit)
     if a.out == "-":
@@ -110,6 +109,7 @@ def tail(a, q):
 
 def cm_check(a, q):
     """Test a sequence for complete monotonicity."""
+    tol = None if a.tol is None else sp.measures.require_nonnegative(a.tol, "option --tol={}")
     if q is None:
         # parse_number keeps decimal strings exact, so hand-typed sequences
         # get the zero-tolerance check by default
@@ -120,7 +120,6 @@ def cm_check(a, q):
     else:
         seq = sp.tail_sequence(q, a.K)
     table = sp.difference_table(seq, min(a.J, seq.K))
-    tol = a.tol
     if tol is None:
         tol = 0.0 if table.exact else 1e-9 * max(map(abs, seq.floats))
     verdict, first = sp.is_completely_monotone(seq, table.J, tol)
@@ -141,7 +140,7 @@ def classify(a, q):
     return (lambda: {
         "distribution": q,
         **c.to_json_dict(),
-        "expected_shocks": "inf" if ej == math.inf else ej,
+        "expected_shocks": ej,
     }, lambda: sp.measures.csv_text(("verdict", "m01", "m12", "m2", "expected_shocks"),
                                     [(c.verdict, c.m01, c.m12, c.m2, ej)]))
 

@@ -59,13 +59,14 @@ def is_exact(x: Num) -> bool:
 
 
 def jsonable(x):
-    """JSON form of a value: int or "num/den" when exact, float for other numbers; str,
+    """JSON form of a value: int or "num/den" when exact, float for other numbers, with
+    "inf", "-inf" and "nan" for the non-finite ones, which RFC 8259 JSON cannot hold; str,
     bool and None as they are; containers element by element; a dataclass as a dict of
     its public fields in declaration order. Scalars, nearly every call, are tested first."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
-        return float(x)
+        return float(x) if math.isfinite(x) else str(float(x))
     if isinstance(x, (int, str)) or x is None:  # bool is an int
         return x
     if isinstance(x, dict):
@@ -75,7 +76,7 @@ def jsonable(x):
     if is_dataclass(x):
         return {f.name: jsonable(getattr(x, f.name))
                 for f in fields(x) if not f.name.startswith("_")}
-    return float(x)
+    return jsonable(float(x))
 
 
 def csv_text(header: Sequence[str], rows) -> str:

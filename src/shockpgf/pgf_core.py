@@ -13,7 +13,6 @@ under Q, and everything here is computed exactly for rational Q.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -171,28 +170,31 @@ def _lcm_through(n: int) -> int:
 
 @dataclass(frozen=True)
 class TailSequence:
-    """Tails u_k = P(count > k), k = 0..K; exact means every entry is rational.
+    """Tails u_k = P(count > k), k = 0..K.
 
-    ``violation`` and ``floats`` are computed once and kept (the table is frozen
-    and holds immutable numbers); ``integers`` is made as far as it is read. None
+    ``exact``, ``violation`` and ``floats`` are computed once and kept (the table is
+    frozen and holds immutable numbers); ``integers`` is made as far as it is read. None
     of them nor ``_scaled`` enter equality, hashing or repr.
     """
 
     values: tuple[Num, ...]
-    exact: bool
     # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
-    _scaled: tuple | None = field(default=None, compare=False, repr=False)
+    _scaled: tuple | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     @classmethod
     def from_values(cls, values) -> "TailSequence":
         vals = tuple(values)
         if not vals:
             raise ValidationError("tail sequence must have at least one entry")
-        return cls(vals, all(is_exact(v) for v in vals))
+        return cls(vals)
 
     @property
     def K(self) -> int:
         return len(self.values) - 1
+
+    @cached_property
+    def exact(self) -> bool:  # every entry is rational
+        return all(map(is_exact, self.values))
 
     @cached_property
     def violation(self) -> str | None:
@@ -271,9 +273,8 @@ class PmfSequence:
     values: tuple[Num, ...]
     tail_ratio: Num | None = None
 
-    @classmethod
-    def from_values(cls, values, tail_ratio=None) -> "PmfSequence":
-        vals = tuple(values)
+    def __post_init__(self) -> None:
+        vals, tail_ratio = tuple(self.values), self.tail_ratio
         if not vals:
             raise ValidationError("pmf must have at least one entry")
         for n, v in enumerate(vals):
@@ -283,6 +284,8 @@ class PmfSequence:
                 raise ValidationError(f"pmf entry q_{n} = {v} is negative")
         if tail_ratio is not None:
             tail_ratio = require_positive(tail_ratio, "tail ratio", 1)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "tail_ratio", tail_ratio)
         total = sum(vals)
         if tail_ratio is not None and vals[-1] > 0:
             total = total + vals[-1] * tail_ratio / (1 - tail_ratio)
@@ -291,7 +294,6 @@ class PmfSequence:
                 raise ValidationError(f"pmf mass {total} exceeds 1")
         elif total > 1 + MASS_TOL:
             raise ValidationError(f"pmf mass {float(total)!r} exceeds 1")
-        return cls(vals, tail_ratio)
 
     @property
     def N(self) -> int:
@@ -304,25 +306,13 @@ def require_tail(t: TailSequence) -> None:
         raise ValidationError(f"not a valid tail sequence: {t.violation}")
 
 
-@numbers.Rational.register
-class _Terms:
-    """Lowest terms that ``Fraction`` copies; made as ``_Lowest``, whose isinstance is cached."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
-
-
-class _Lowest(_Terms):
-    __slots__ = ()
-
-
 def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
     """n / (X * B**e) in lowest terms, powers[i] = B**(i+1), by gcds with one small operand:
     each step divides out c = gcd(r, Y * B**s), leaving r coprime to the small Y*B**s//c that
     the denominator keeps; once that has every prime of B (B | Y**bits(B)), r is coprime to
-    the denominator. s starts at 2 and doubles, so a high power of B takes few steps."""
+    the denominator. s starts at 2 and doubles, so a high power of B takes few steps. The
+    Fraction is made from the coprime pair as CPython 3.12's ``Fraction._from_coprime_ints``
+    makes it, with no further gcd."""
     r, Y, s = n, X, 2
     while e:
         s = min(s, e)
@@ -331,7 +321,9 @@ def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
         r, Y, e, s = r // c, Y * Bs // c, e - s, 2 * s
         if not pow(Y, B.bit_length(), B):
             break
-    return Fraction(_Lowest(r, Y * powers[e - 1] if e else Y))
+    v = object.__new__(Fraction)
+    v._numerator, v._denominator = r, Y * powers[e - 1] if e else Y
+    return v
 
 
 def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
@@ -350,7 +342,7 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     float scalar sums each entry in float arithmetic instead, from the
     per-entry powers (1 - y)**k on atoms and ((1 - lo)**(k+1) - (1 - hi)**(k+1))
     / (k+1) on segments; running float powers would round differently and
-    change published tails.
+    change published tails. A float entry past the float range is refused.
 
     The moment formula is applied to whatever support q has; use the table's
     ``violation`` or the analysis helpers to decide whether the result is a
@@ -358,10 +350,17 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     """
     require_int(K, "truncation order")
     if not q.exact:
-        return TailSequence.from_values(
-            integrate(q, lambda y: (1 - y) ** k,
-                      lambda lo, hi, d: d * (((1 - lo) ** (k + 1) - (1 - hi) ** (k + 1)) / (k + 1)))
-            for k in range(K + 1))
+        vals = []
+        for k in range(K + 1):
+            try:
+                v = integrate(q, lambda y: (1 - y) ** k, lambda lo, hi, d: d * (
+                    ((1 - lo) ** (k + 1) - (1 - hi) ** (k + 1)) / (k + 1)))
+            except OverflowError:  # a power of 1 - y past the float range
+                v = math.inf
+            if not math.isfinite(v):
+                raise ValidationError(f"entry k={k} lies past the float range")
+            vals.append(v)
+        return TailSequence(tuple(vals))
     segments = [s for s in q.segments if s.density > 0]
     B = math.lcm(*(a.y.denominator for a in q.atoms),
                  *(x.denominator for s in segments for x in (s.lo, s.hi)))
@@ -382,7 +381,7 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     nums = tuple(map(add, map(mul, range(B, (K + 2) * B, B), total(atoms)), total(segs)))
     values = tuple(map(_lowest, nums, range(M, (K + 2) * M, M), repeat(B), range(1, K + 2),
                        repeat(list(column(B, B)))))  # powers B, B**2, ..., B**(K+1)
-    return TailSequence(values, True, (nums, M, B))
+    return TailSequence(values, _scaled=(nums, M, B))
 
 
 def pmf_from_tail(t: TailSequence) -> PmfSequence:
@@ -390,7 +389,7 @@ def pmf_from_tail(t: TailSequence) -> PmfSequence:
     require_tail(t)
     vals = [1 - t.values[0]]
     vals += [t.values[n - 1] - t.values[n] for n in range(1, len(t.values))]
-    return PmfSequence.from_values(vals)
+    return PmfSequence(vals)
 
 
 def geometric_pmf(success, K: int = 16) -> PmfSequence:
@@ -404,7 +403,7 @@ def geometric_pmf(success, K: int = 16) -> PmfSequence:
     require_int(K, "truncation order")
     r = 1 - p
     vals = [p * r**n for n in range(K + 1)]
-    return PmfSequence.from_values(vals, tail_ratio=r if r > 0 else None)
+    return PmfSequence(vals, r if r > 0 else None)
 
 
 def lemma22_coefficients(q: PmfSequence, K: int) -> list[Num]:

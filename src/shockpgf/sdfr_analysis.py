@@ -22,6 +22,7 @@ from .measures import (
     MixingDistribution,
     Num,
     csv_text,
+    is_exact,
     jsonable,
     mass_on,
     parse_number,
@@ -44,11 +45,14 @@ class DifferenceTable:
     """
 
     entries: tuple[tuple[Num, ...], ...]
-    exact: bool
 
     @property
     def J(self) -> int:
         return len(self.entries) - 1
+
+    @property
+    def exact(self) -> bool:  # every entry is rational: row 0 is, as the rest are its differences
+        return all(map(is_exact, self.entries[0]))
 
     def to_csv(self) -> str:
         width = len(self.entries[0])
@@ -57,11 +61,7 @@ class DifferenceTable:
                          for j, row in enumerate(self.entries)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "exact": self.exact,
-            "rows": jsonable(self.entries),
-        }
+        return {"J": self.J, "exact": self.exact, "rows": jsonable(self.entries)}
 
 
 def _table(u, J) -> TailSequence:
@@ -84,7 +84,7 @@ def difference_table(u, J: int) -> DifferenceTable:
     rows = [t.values]
     for _ in range(J):
         rows.append(tuple(starmap(sub, pairwise(rows[-1]))))
-    return DifferenceTable(tuple(rows), t.exact)
+    return DifferenceTable(tuple(rows))
 
 
 def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, int] | None]:
@@ -129,8 +129,7 @@ def tail_validity(u) -> tuple[bool, str | None]:
     """Whether u is a genuine tail sequence of a positive count, and the reason when it
     is not: ``TailSequence.violation``, with a plain sequence wrapped first."""
     if not isinstance(u, TailSequence):
-        vals = tuple(u)  # ``from_values`` refuses no entries; the empty table's violation names it
-        u = TailSequence.from_values(vals) if vals else TailSequence((), True)
+        u = TailSequence(tuple(u))  # not ``from_values``: the empty table's violation names it
     return u.violation is None, u.violation
 
 

@@ -255,6 +255,30 @@ def test_tail_past_the_float_range_has_no_decimal_column(fmt):
     assert "entry k=1 lies past the float range" in res.stderr
 
 
+FLOAT_BEYOND = {  # a float law and the first tail entry past the float range
+    "atom": ({"atoms": [{"y": 1e10, "p": 1.0}], "segments": []}, 31),
+    "segment": ({"atoms": [{"y": 0.5, "p": 0.5}],
+                 "segments": [{"lo": 2.0, "hi": 1e200, "density": 5e-201}]}, 1),
+}
+
+
+@pytest.mark.parametrize("law", sorted(FLOAT_BEYOND))
+def test_float_tails_past_the_float_range_are_exit_2(law):
+    """(1 - y)**k in float arithmetic raised OverflowError, exit 1 with a traceback."""
+    doc, k = FLOAT_BEYOND[law]
+    res = run("tail", "--dist", json.dumps(doc), "--K", "40")
+    assert res.exit_code == 2, res.output
+    assert f"entry k={k} lies past the float range" in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cm_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    """--tol inf called the increasing 1, 2, 1/4 CM and wrote "tol": Infinity."""
+    res = run("cm-check", "--values", "1,2,1/4", "--tol", tol, "--format", "json")
+    assert res.exit_code == 2, res.output
+    assert f"option --tol={float(tol)} must be non-negative and finite" in res.stderr
+
+
 def test_cm_check_past_the_float_range_gives_its_verdict():
     res = run("cm-check", "--dist", BEYOND_FLOATS, "--K", "5", "--J", "2")
     assert res.exit_code == 0, res.output

@@ -60,6 +60,15 @@ def test_submodules_resolve_after_a_bare_import():
     assert res.returncode == 0, res.stderr
 
 
+def test_a_module_read_off_the_package_loads_without_numpy():
+    """``shockpgf.shock_model`` in a fresh interpreter is read by the package's
+    ``__getattr__``, which imports the module; only the simulators load numpy."""
+    res = run_python("-c", "import shockpgf, sys\n"
+                           "assert shockpgf.shock_model.survival is shockpgf.survival\n"
+                           "assert 'numpy' not in sys.modules, 'numpy loaded'")
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("name", shockpgf.__all__)
 def test_every_export_is_its_modules_object(name):
     home = importlib.import_module(f"shockpgf.{shockpgf._HOME[name]}")

@@ -101,6 +101,21 @@ def test_golden_output(cid, tmp_path, monkeypatch):
     assert run(corpus()[cid]) == _golden()[cid]
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize("cid", sorted(c for c in corpus() if c.endswith("/json")))
+def test_json_output_is_strict_json(cid, tmp_path, monkeypatch):
+    """RFC 8259 has no Infinity or NaN: bounds wrote "mean_shocks": Infinity for a law
+    with density at 0, where JSON reports now write "inf"."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(EXACT), encoding="utf-8")
+    res = run_cli(corpus()[cid])
+    if res.exit_code == 0:
+        json.loads(res.output, parse_constant=_not_json)
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import os
     import tempfile

@@ -330,8 +330,7 @@ def test_jsonable_is_one_rule_for_scalars_containers_and_reports():
                                  "mean_y", "mean_shocks"]
     assert jsonable(b)["upper_is_geometric"] is True
     # private fields such as a table's cached numerators stay out
-    assert jsonable(tail_sequence(point_mass("1/2"), 1)) == {"values": [1, "1/2"],
-                                                              "exact": True}
+    assert jsonable(tail_sequence(point_mass("1/2"), 1)) == {"values": [1, "1/2"]}
 
 
 def test_json_round_trip_random_families():

@@ -385,10 +385,19 @@ def test_float_segment_rounding_within_a_tenth_of_the_budget_is_kept():
         assert len(q._live_segments) == len(q.segments)
 
 
+def test_exact_is_read_off_the_entries():
+    """``exact`` was an argument, so TailSequence((1.0, 0.5), True) constructed and its
+    ``integers`` then failed on float.numerator."""
+    assert TailSequence((F(1), 0)).exact and not TailSequence((F(1), 0.5)).exact
+    assert difference_table((F(1), 0), 1).exact and not difference_table((1.0, 0.5), 1).exact
+    with pytest.raises(TypeError):
+        TailSequence((1.0, 0.5), True)
+
+
 def test_empty_sequence_is_not_a_tail():
     assert tail_validity([]) == (False, "sequence is empty")
     assert tail_validity(iter(())) == (False, "sequence is empty")
-    assert TailSequence((), True).violation == "sequence is empty"
+    assert TailSequence(()).violation == "sequence is empty"
     with pytest.raises(ValidationError, match="at least one entry"):
         TailSequence.from_values([])
 
@@ -445,7 +454,7 @@ def test_geometric_pmf_shape():
 
 
 def test_lemma22_degenerate():
-    sure = PmfSequence.from_values((F(1),))
+    sure = PmfSequence((F(1),))
     assert lemma22_coefficients(sure, 5) == [1, 0, 0, 0, 0, 0]
 
 
@@ -457,7 +466,7 @@ def test_lemma22_geometric_closed_form(y):
 
 def test_lemma22_series_oracle():
     """Sum of c_k z^k must reproduce E(1-z)^N for a truncated pmf."""
-    pmf = PmfSequence.from_values((F(1, 8), F(1, 2), F(1, 4), F(1, 8)))
+    pmf = PmfSequence((F(1, 8), F(1, 2), F(1, 4), F(1, 8)))
     cs = lemma22_coefficients(pmf, 40)
     for z in [F(i, 10) for i in range(1, 10)]:
         direct = sum(q * (1 - z) ** n for n, q in enumerate(pmf.values))
@@ -477,11 +486,11 @@ def test_lemma22_geometric_series_oracle_float():
 def test_pmf_refuses_a_nan_entry_by_index():
     # a NaN entry passed v < 0 and the mass check, so lemma22 returned [nan, nan, nan]
     with pytest.raises(ValidationError, match="q_1 is NaN"):
-        PmfSequence.from_values([0.5, math.nan])
+        PmfSequence([0.5, math.nan])
 
 
 def test_lemma22_rejects_undeclared_tail_mass():
-    trunc = PmfSequence.from_values((F(1, 2), F(1, 4)))  # quarter of the mass missing
+    trunc = PmfSequence((F(1, 2), F(1, 4)))  # quarter of the mass missing
     with pytest.raises(ValidationError, match="tail"):
         lemma22_coefficients(trunc, 5)
 
@@ -519,10 +528,10 @@ def test_admissible_tails_are_valid(i):
 
 @pytest.mark.parametrize("make, reason", [
     (lambda: TailSequence.from_values([1.0, 0.5]).integers, "only an exact tail"),
-    (lambda: PmfSequence.from_values([]), "at least one entry"),
-    (lambda: PmfSequence.from_values([F(1, 2), F(-1, 4)]), "q_1 = -1/4 is negative"),
-    (lambda: PmfSequence.from_values([F(1, 2), F(3, 4)]), "pmf mass 5/4 exceeds 1"),
-    (lambda: PmfSequence.from_values([0.5, 0.75]), "pmf mass 1.25 exceeds 1"),
+    (lambda: PmfSequence([]), "at least one entry"),
+    (lambda: PmfSequence([F(1, 2), F(-1, 4)]), "q_1 = -1/4 is negative"),
+    (lambda: PmfSequence([F(1, 2), F(3, 4)]), "pmf mass 5/4 exceeds 1"),
+    (lambda: PmfSequence([0.5, 0.75]), "pmf mass 1.25 exceeds 1"),
     (lambda: lemma22_coefficients([F(1)], 3), "must be a PmfSequence"),
     (lambda: CounterexampleParams(0.25, F(1, 2)), "alpha must be a Fraction, got float"),
 ], ids=["float-integers", "empty-pmf", "negative-pmf", "exact-pmf-mass", "float-pmf-mass",
