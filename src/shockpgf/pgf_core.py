@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, pairwise, repeat
-from operator import add, floordiv, mul
+from itertools import accumulate, count, repeat
+from operator import add, floordiv, le, mul
 from typing import Iterator
 
 from .errors import NumericError, ValidationError
@@ -193,8 +194,8 @@ class TailSequence:
         return len(self.values) - 1
 
     @cached_property
-    def exact(self) -> bool:  # every entry is rational
-        return all(map(is_exact, self.values))
+    def exact(self) -> bool:  # every entry is rational, as in each table with ``_scaled``
+        return self._scaled is not None or all(map(is_exact, self.values))
 
     @cached_property
     def violation(self) -> str | None:
@@ -204,8 +205,8 @@ class TailSequence:
         n_k >= 0, n_{k+1}*(k+1) <= n_k*B*(k+2), fails."""
         if self._scaled is not None:
             n, M, B = self._scaled
-            if n[0] == M * B and all(x >= 0 for x in n) and all(
-                    b * (k + 1) <= a * B * (k + 2) for k, (a, b) in enumerate(pairwise(n))):
+            if n[0] == M * B and min(n) >= 0 and all(map(
+                    le, map(mul, n[1:], count(1)), map(mul, n, count(2 * B, B)))):
                 return None
         vals = self.values
         if not vals:
@@ -278,6 +279,8 @@ class PmfSequence:
         if not vals:
             raise ValidationError("pmf must have at least one entry")
         for n, v in enumerate(vals):
+            if not isinstance(v, (int, Fraction, float)) or isinstance(v, bool):
+                raise ValidationError(f"pmf entry q_{n} = {v!r} is not an int, Fraction or float")
             if v != v:
                 raise ValidationError(f"pmf entry q_{n} is NaN")
             if v < 0:
@@ -331,10 +334,12 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
 
     For an exact q, every atom location and segment endpoint enters as
     1 - y = a/B over one common denominator B, and every atom mass and
-    density as w/M over one common denominator M. With running integer
-    powers of the a's, entry k is the single fraction
+    density as w/M over one common denominator M. A segment adds w to the
+    net weight w_a of its base a_lo and takes w from that of a_hi, so ends
+    that segments share hold one net weight. With running integer powers
+    of the a's, entry k is the single fraction
 
-        ((k+1)*B * sum_atoms w*a**k + sum_segments w*(a_lo**(k+1) - a_hi**(k+1)))
+        ((k+1)*B * sum_atoms w*a**k + sum_{distinct a != 0, w_a != 0} w_a*a**(k+1))
         / (M * (k+1) * B**(k+1)),
 
     reduced by ``_lowest`` without a gcd of two big numbers; the table keeps
@@ -369,15 +374,22 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     def scaled(x, den: int) -> int:
         return x.numerator * (den // x.denominator)
 
+    def base(y) -> int:  # B * (1 - y)
+        return (y.denominator - y.numerator) * (B // y.denominator)
+
     def column(w: int, a: int):  # w, w*a, ..., w*a**K
         return accumulate(repeat(a, K), mul, initial=w)
 
     def total(columns):  # entrywise sums, zeros when there are no columns
         return map(sum, zip(repeat(0, K + 1), *columns))
 
-    atoms = [column(scaled(a.p, M), scaled(1 - a.y, B)) for a in q.atoms]
-    segs = [column(sign * scaled(s.density, M) * x, x) for s in segments
-            for sign, x in ((1, scaled(1 - s.lo, B)), (-1, scaled(1 - s.hi, B)))]
+    net = defaultdict(int)  # signed segment weight per distinct base
+    for s in segments:
+        w = scaled(s.density, M)
+        net[base(s.lo)] += w
+        net[base(s.hi)] -= w
+    atoms = [column(scaled(a.p, M), base(a.y)) for a in q.atoms]
+    segs = [column(w * x, x) for x, w in net.items() if w and x]
     nums = tuple(map(add, map(mul, range(B, (K + 2) * B, B), total(atoms)), total(segs)))
     values = tuple(map(_lowest, nums, range(M, (K + 2) * M, M), repeat(B), range(1, K + 2),
                        repeat(list(column(B, B)))))  # powers B, B**2, ..., B**(K+1)

@@ -24,7 +24,6 @@ from .measures import (
     csv_text,
     is_exact,
     jsonable,
-    mass_on,
     parse_number,
     require_int,
     require_positive,
@@ -148,23 +147,27 @@ class SupportClassification:
 
 
 def classify_support(q: MixingDistribution) -> SupportClassification:
-    """Split the mass of q at 1 and 2 and name the resulting regime.
+    """Split the mass of q at 1 and 2, in one pass over atoms and then segments, and name
+    the resulting regime. Each mass takes ``mass_on``'s addends on its interval in order.
 
     Mass at or beyond 2 rules the mixture out as a p.g.f. outright; support
     inside (0, 1] makes the tails completely monotone; mass strictly
     between 1 and 2 is the undecided middle ground where the mixture may or
     may not be a p.g.f.
     """
-    m01 = mass_on(q, 0, 1, include_hi=True)
-    m12 = mass_on(q, 1, 2)
-    m2 = mass_on(q, 2, math.inf, include_lo=True)
-    if m2 > 0:
-        verdict = VERDICT_NOT_PGF
-    elif m12 == 0:
-        verdict = VERDICT_UNIT_SUPPORT
-    else:
-        verdict = VERDICT_CANDIDATE
-    return SupportClassification(verdict, m01, m12, m2)
+    m = [0, 0, 0]  # m01, m12, m2
+    for a in q.atoms:
+        m[(a.y > 1) + (a.y >= 2)] += a.p
+    for s in q.segments:
+        if s.lo < 1:
+            m[0] += s.density * (min(1, s.hi) - max(0, s.lo))
+        if s.lo < 2 and s.hi > 1:
+            m[1] += s.density * (min(2, s.hi) - max(1, s.lo))
+        if s.hi > 2:
+            m[2] += s.density * (s.hi - max(2, s.lo))
+    verdict = (VERDICT_NOT_PGF if m[2] > 0 else VERDICT_UNIT_SUPPORT if m[1] == 0
+               else VERDICT_CANDIDATE)
+    return SupportClassification(verdict, *m)
 
 
 def expected_shocks(q: MixingDistribution) -> Num:

@@ -15,6 +15,7 @@ from shockpgf import (
     Segment,
     ShockModelParams,
     ValidationError,
+    classify_support,
     counterexample_Q,
     counterexample_params,
     counterexample_tail,
@@ -25,6 +26,7 @@ from shockpgf import (
     kernel,
     lemma22_coefficients,
     mass_on,
+    mix,
     monotonicity_condition,
     pgf_bounds,
     pgf_eval,
@@ -178,8 +180,36 @@ def _family_law(seed):
     return gen(rng)
 
 
+# zero entries (atoms at 1/2 and 3/2 cancel at odd k; an atom at 1), negative entries (mass
+# beyond 2), B = 1, and numerators n_k divisible by high powers of B's primes: point masses
+# at 1/2 and 1/3, two halves of one uniform density (n_k = 2**(k+1)), and atoms at 1/3 and
+# 2/3 beside a segment on [1/2, 3/2) that vanishes at odd k (B = 6, n_k ~ 2**k there)
+_REDUCTION_LAWS = (
+    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(3, 2), F(1, 2)))),
+    point_mass(1),
+    point_mass("5/2"),
+    MixingDistribution((Atom(F(1), F(1, 2)), Atom(F(2), F(1, 2)))),
+    uniform_density(0, 1),
+    point_mass("1/2"),
+    point_mass("1/3"),
+    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(1, 3), F(1, 2)))),
+    MixingDistribution(segments=(Segment(F(0), F(1, 2), F(1)), Segment(F(1, 2), F(1), F(1)))),
+    MixingDistribution((Atom(F(1, 3), F(1, 4)), Atom(F(2, 3), F(1, 4))),
+                       (Segment(F(1, 2), F(3, 2), F(1, 2)),)),
+    # ends that share a base 1 - y: adjacent pieces of different densities from ``mix``,
+    # equal densities across 3/4 (net weight 0), segments ending and starting at 1 (base
+    # 0), and an atom at 1 beside them, whose own column stays
+    mix([(F(1, 2), uniform_density(0, "1/2")), (F(1, 2), uniform_density("1/4", "3/4"))]),
+    MixingDistribution(segments=(Segment(F(1, 4), F(3, 4), F(1)), Segment(F(3, 4), F(5, 4), F(1)))),
+    MixingDistribution(segments=(Segment(F(1, 2), F(1), F(3, 2)), Segment(F(1), F(2), F(1, 4)))),
+    MixingDistribution((Atom(F(1), F(1, 4)),),
+                       (Segment(F(1, 2), F(1), F(1)), Segment(F(1), F(3, 2), F(1, 2)))),
+)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(q=st.one_of(st.integers(0, 10**6).map(_family_law), _wide_laws()),
+@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(_family_law),
+                   _wide_laws()),
        K=st.integers(0, 40), data=st.data())
 def test_tail_sequence_matches_integrate_and_hausdorff_moments(q, K, data):
     """The common-denominator tails equal the per-entry integrals and the moments."""
@@ -220,25 +250,6 @@ def test_cached_facts_equal_reference_paths(q, K, tol):
         assert is_completely_monotone(t, J, tol) == is_completely_monotone(list(t.values), J, tol)
 
 
-# zero entries (atoms at 1/2 and 3/2 cancel at odd k; an atom at 1), negative entries (mass
-# beyond 2), B = 1, and numerators n_k divisible by high powers of B's primes: point masses
-# at 1/2 and 1/3, two halves of one uniform density (n_k = 2**(k+1)), and atoms at 1/3 and
-# 2/3 beside a segment on [1/2, 3/2) that vanishes at odd k (B = 6, n_k ~ 2**k there)
-_REDUCTION_LAWS = (
-    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(3, 2), F(1, 2)))),
-    point_mass(1),
-    point_mass("5/2"),
-    MixingDistribution((Atom(F(1), F(1, 2)), Atom(F(2), F(1, 2)))),
-    uniform_density(0, 1),
-    point_mass("1/2"),
-    point_mass("1/3"),
-    MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(1, 3), F(1, 2)))),
-    MixingDistribution(segments=(Segment(F(0), F(1, 2), F(1)), Segment(F(1, 2), F(1), F(1)))),
-    MixingDistribution((Atom(F(1, 3), F(1, 4)), Atom(F(2, 3), F(1, 4))),
-                       (Segment(F(1, 2), F(3, 2), F(1, 2)),)),
-)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(_family_law),
                    _wide_laws()),
@@ -253,6 +264,31 @@ def test_tail_entries_are_reduced_fractions(q, K):
     for k, v in enumerate(t.values):
         ref = F(n[k], M * (k + 1) * B ** (k + 1))
         assert type(v) is F and (v.numerator, v.denominator) == (ref.numerator, ref.denominator)
+
+
+def _float_copy(q):
+    """q with every scalar a float, or None when the rounded scalars are refused."""
+    try:
+        return MixingDistribution(tuple(Atom(float(a.y), float(a.p)) for a in q.atoms),
+                                  tuple(Segment(*map(float, (s.lo, s.hi, s.density)))
+                                        for s in q.segments))
+    except ValidationError:
+        return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS + _HAND_BUILT),
+                   st.integers(0, 10**6).map(_family_law), _wide_laws()))
+def test_support_masses_equal_mass_on(q):
+    """The one-pass masses are ``mass_on`` on (0, 1], (1, 2) and [2, inf): exactly for an
+    exact law, and in value and type for its float copy."""
+    for law in (q, _float_copy(q)):
+        if law is not None:
+            c = classify_support(law)
+            ref = (mass_on(law, 0, 1, include_hi=True), mass_on(law, 1, 2),
+                   mass_on(law, 2, math.inf, include_lo=True))
+            assert [(type(m), repr(m)) for m in (c.m01, c.m12, c.m2)] == [
+                (type(m), repr(m)) for m in ref]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -456,6 +492,9 @@ def test_geometric_pmf_shape():
 def test_lemma22_degenerate():
     sure = PmfSequence((F(1),))
     assert lemma22_coefficients(sure, 5) == [1, 0, 0, 0, 0, 0]
+    ints = PmfSequence((0, 1))  # int entries are kept as they are, not made Fractions
+    assert list(map(type, ints.values)) == [int, int]
+    assert list(map(type, lemma22_coefficients(ints, 2))) == [int, int, int]
 
 
 @pytest.mark.parametrize("y", [F(4, 3), F(3, 2), F(2)])
@@ -534,8 +573,10 @@ def test_admissible_tails_are_valid(i):
     (lambda: PmfSequence([0.5, 0.75]), "pmf mass 1.25 exceeds 1"),
     (lambda: lemma22_coefficients([F(1)], 3), "must be a PmfSequence"),
     (lambda: CounterexampleParams(0.25, F(1, 2)), "alpha must be a Fraction, got float"),
+    (lambda: PmfSequence(("1/2", "1/2")), "q_0 = '1/2' is not an int, Fraction or float"),
+    (lambda: PmfSequence((F(1, 2), True)), "q_1 = True is not an int, Fraction or float"),
 ], ids=["float-integers", "empty-pmf", "negative-pmf", "exact-pmf-mass", "float-pmf-mass",
-        "lemma22-not-pmf", "float-param"])
+        "lemma22-not-pmf", "float-param", "text-pmf", "bool-pmf"])
 def test_pgf_core_refusals(make, reason):
     with pytest.raises(ValidationError, match=reason):
         make()
