@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, floordiv, le, mul
 from typing import Iterator
 
@@ -236,21 +236,19 @@ class TailSequence:
             raise ValidationError(f"entry k={k} lies past the float range") from None
 
     @property
-    def integers(self) -> tuple[Iterator[int], int]:
-        """Exact entries as integers N_k over one common denominator D, made lazily in k
-        order: with ``_scaled``, N_k = n_k*(L/(k+1))*B**(K-k) over D = M*L*B**(K+1), L =
-        lcm(1..K+1), not always the least D; otherwise D is the lcm of the denominators."""
+    def integers(self) -> tuple[Iterator[int], int, int]:
+        """Exact entries as (R, D, B), u_k = R_k * B**(K-k) / D, R made lazily in k order:
+        with ``_scaled``, R_k = n_k*(L/(k+1)) over D = M*L*B**(K+1), L = lcm(1..K+1), not
+        always the least D; otherwise R is the numerators over the lcm D of the denominators
+        and B = 1."""
         if not self.exact:
             raise ValidationError("only an exact tail sequence has an integer form")
         if self._scaled is None:
             D = math.lcm(*(v.denominator for v in self.values))
-            return (v.numerator * (D // v.denominator) for v in self.values), D
+            return (v.numerator * (D // v.denominator) for v in self.values), D, 1
         n, M, B = self._scaled
-        K = len(n) - 1
-        L, B_pow = _lcm_through(K + 1), B**K
-        N = map(mul, map(mul, n, map(floordiv, repeat(L), range(1, K + 2))),
-                accumulate(repeat(B, K), floordiv, initial=B_pow))
-        return N, M * L * B_pow * B
+        L = _lcm_through(len(n))
+        return map(mul, n, map(floordiv, repeat(L), range(1, len(n) + 1))), M * L * B**len(n), B
 
     def to_json_dict(self) -> dict:
         entries = [{"k": k, "value": jsonable(v), "decimal": f}
@@ -309,13 +307,18 @@ def require_tail(t: TailSequence) -> None:
         raise ValidationError(f"not a valid tail sequence: {t.violation}")
 
 
+def _coprime(n: int, d: int) -> Fraction:
+    """n / d of a coprime pair, d > 0, made as CPython 3.12's ``Fraction._from_coprime_ints``."""
+    v = object.__new__(Fraction)
+    v._numerator, v._denominator = n, d
+    return v
+
+
 def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
     """n / (X * B**e) in lowest terms, powers[i] = B**(i+1), by gcds with one small operand:
     each step divides out c = gcd(r, Y * B**s), leaving r coprime to the small Y*B**s//c that
     the denominator keeps; once that has every prime of B (B | Y**bits(B)), r is coprime to
-    the denominator. s starts at 2 and doubles, so a high power of B takes few steps. The
-    Fraction is made from the coprime pair as CPython 3.12's ``Fraction._from_coprime_ints``
-    makes it, with no further gcd."""
+    the denominator. s starts at 2 and doubles, so a high power of B takes few steps."""
     r, Y, s = n, X, 2
     while e:
         s = min(s, e)
@@ -324,9 +327,7 @@ def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
         r, Y, e, s = r // c, Y * Bs // c, e - s, 2 * s
         if not pow(Y, B.bit_length(), B):
             break
-    v = object.__new__(Fraction)
-    v._numerator, v._denominator = r, Y * powers[e - 1] if e else Y
-    return v
+    return _coprime(r, Y * powers[e - 1] if e else Y)
 
 
 def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
@@ -342,18 +343,21 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
         ((k+1)*B * sum_atoms w*a**k + sum_{distinct a != 0, w_a != 0} w_a*a**(k+1))
         / (M * (k+1) * B**(k+1)),
 
-    reduced by ``_lowest`` without a gcd of two big numbers; the table keeps
-    the n_k, M and B for its ``violation`` and ``integers``. A q with any
-    float scalar sums each entry in float arithmetic instead, from the
-    per-entry powers (1 - y)**k on atoms and ((1 - lo)**(k+1) - (1 - hi)**(k+1))
+    reduced by ``_lowest``, whose first step is one pass over the whole table;
+    the table keeps the n_k, M and B for its ``violation`` and ``integers``. A
+    q with any float scalar sums each entry in float arithmetic instead, from
+    the per-entry powers (1 - y)**k on atoms and ((1 - lo)**(k+1) - (1 - hi)**(k+1))
     / (k+1) on segments; running float powers would round differently and
-    change published tails. A float entry past the float range is refused.
+    change published tails. A float entry past the float range, and a K not
+    below sys.maxsize, are refused.
 
     The moment formula is applied to whatever support q has; use the table's
     ``violation`` or the analysis helpers to decide whether the result is a
     genuine tail sequence.
     """
     require_int(K, "truncation order")
+    if K >= sys.maxsize:  # K + 1 entries must be countable by a C ssize_t
+        raise ValidationError(f"truncation order K={K} must be below {sys.maxsize}")
     if not q.exact:
         vals = []
         for k in range(K + 1):
@@ -391,9 +395,16 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     atoms = [column(scaled(a.p, M), base(a.y)) for a in q.atoms]
     segs = [column(w * x, x) for x, w in net.items() if w and x]
     nums = tuple(map(add, map(mul, range(B, (K + 2) * B, B), total(atoms)), total(segs)))
-    values = tuple(map(_lowest, nums, range(M, (K + 2) * M, M), repeat(B), range(1, K + 2),
-                       repeat(list(column(B, B)))))  # powers B, B**2, ..., B**(K+1)
-    return TailSequence(values, _scaled=(nums, M, B))
+    powers = list(column(B, B))  # B, B**2, ..., B**(K+1)
+    # ``_lowest``'s first step, s = min(2, k+1), for every entry at once; an entry k >= 2
+    # whose Y it leaves without every prime of B goes on in ``_lowest`` with B**(k-1) to strip
+    XB = list(map(mul, range(M, (K + 2) * M, M), chain((B,), repeat(B * B, K))))
+    c = list(map(math.gcd, nums, XB))
+    r, Y = list(map(floordiv, nums, c)), list(map(floordiv, XB, c))
+    values = list(map(_coprime, r, map(mul, Y, chain((1, 1), powers))))
+    for k in compress(range(2, K + 1), map(pow, Y[2:], repeat(B.bit_length()), repeat(B))):
+        values[k] = _lowest(r[k], Y[k], B, k - 1, powers)
+    return TailSequence(tuple(values), _scaled=(nums, M, B))
 
 
 def pmf_from_tail(t: TailSequence) -> PmfSequence:

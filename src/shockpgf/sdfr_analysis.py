@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import pairwise, starmap, takewhile
-from operator import eq, le, sub
+from itertools import accumulate, pairwise, repeat, starmap, takewhile, tee
+from operator import eq, floordiv, le, mul, sub
 
 from .errors import ValidationError
 from .measures import (
@@ -86,6 +86,13 @@ def difference_table(u, J: int) -> DifferenceTable:
     return DifferenceTable(tuple(rows))
 
 
+def _decrements(row, B: int):
+    """The next row, B*a - b over each adjacent pair (a, b) of row, made lazily."""
+    a, b = tee(row)
+    next(b, None)
+    return map(sub, map(mul, a, repeat(B)) if B > 1 else a, b)
+
+
 def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, int] | None]:
     """Check all iterated decrements up to order J against -tol.
 
@@ -96,27 +103,32 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
     None) are non-negative: the scan starts at row 2 and reads the entries
     only as far as row 2 needs them.
 
-    All-exact input (ints and Fractions) is differenced as the integers N_k
-    over one common denominator D of ``TailSequence.integers``, so a cell v
-    fails when the integer v lies below ceil(-tol*D), which is v/D < -tol in
-    exact arithmetic. Any other input is differenced in its own arithmetic,
-    as ``difference_table`` does, and a NaN entry is refused. Use tol=0 for
-    exact input; for float input a small tolerance absorbs cancellation noise.
+    All-exact input (ints and Fractions) is differenced in the integers R of
+    ``TailSequence.integers``: row j+1 is B*R_j[k] - R_j[k+1], and cell (j, k)
+    is R_j[k] * B**(K-k-j) / D, so at tol = 0 it fails when R_j[k] < 0. Below
+    768 bits of D, where one subtraction a cell beats two operations on smaller
+    integers, and at 0 < tol < inf, R is first put over D (B = 1) and a cell v
+    fails when v < ceil(-tol*D), which is v/D < -tol in exact arithmetic. Any
+    other input is differenced in its own arithmetic, as ``difference_table``
+    does, and a NaN entry is refused. Use tol=0 for exact input; for float
+    input a small tolerance absorbs cancellation noise.
     """
     if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
     t = _table(u, J)
     if t.exact:
-        row, D = t.integers
+        row, D, B = t.integers
         limit = -tol if tol == math.inf else math.ceil(-Fraction(tol) * D)
+        if B > 1 and (0 < tol < math.inf or D.bit_length() < 768):
+            row, B = map(mul, row, accumulate(repeat(B, t.K), floordiv, initial=B**t.K)), 1
     else:
-        row, limit = t.values, -tol
+        row, B, limit = t.values, 1, -tol
     start = 2 if t.exact and t.violation is None else 0
     for _ in range(start):
-        row = starmap(sub, pairwise(row))
+        row = _decrements(row, B)
     for j in range(start, J + 1):
         if j > start:
-            row = [a - b for a, b in pairwise(row)]
+            row = list(_decrements(row, B))
         if j == start or min(row) < limit:  # read up to the first cell below limit
             row = list(takewhile(partial(le, limit), row))
             if len(row) < len(t.values) - j:
@@ -231,6 +243,15 @@ class LaplaceOrderBounds:
     upper_is_exponential: bool
 
 
+def _transform_point(lam, s) -> tuple[Num, Num, Num]:
+    """(lam, s, z) with z = lam/(lam+s); refused, naming lam and s, unless both are positive
+    and finite and z, which floats far apart in scale round to 0 or 1, lies in (0, 1)."""
+    lam, s = require_positive(lam, "arrival rate lam"), require_positive(s, "frequency s")
+    if not 0 < (z := lam / (lam + s)) < 1:
+        raise ValidationError(f"lam/(lam+s) at lam={lam} and s={s} rounds to {z}, outside (0, 1)")
+    return lam, s, z
+
+
 def laplace_order_bounds(q: MixingDistribution, lam, s) -> LaplaceOrderBounds:
     """Bounds on the failure-time transform via the substitution z = lam/(lam+s).
 
@@ -238,7 +259,6 @@ def laplace_order_bounds(q: MixingDistribution, lam, s) -> LaplaceOrderBounds:
     scale; the upper curve is the transform of an exponential time exactly
     when the mean resistance is at most one.
     """
-    lam = require_positive(lam, "arrival rate lam")
-    s = require_positive(s, "frequency s")
-    b = pgf_bounds(q, lam / (lam + s))
+    lam, s, z = _transform_point(lam, s)
+    b = pgf_bounds(q, z)
     return LaplaceOrderBounds(s, lam, b.lower, b.phi, b.upper, b.upper_is_geometric)

@@ -37,7 +37,7 @@ from .measures import (
     require_positive,
 )
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
-from .sdfr_analysis import is_completely_monotone
+from .sdfr_analysis import _transform_point, is_completely_monotone
 
 _BLOCK = 1 << 14
 _GUIDE = 1 << 14
@@ -162,9 +162,7 @@ def _series(u: tuple[float, ...], mu: float, K: int) -> float:
 
 def laplace(q: MixingDistribution, lam, s) -> Num:
     """Failure-time transform E[exp(-s*T)], read off the p.g.f. at lam/(lam+s)."""
-    lam = require_positive(lam, "arrival rate lam")
-    s = require_positive(s, "frequency s")
-    return pgf_eval(q, lam / (lam + s))
+    return pgf_eval(q, _transform_point(lam, s)[2])
 
 
 def rate_mixture(q: MixingDistribution, lam) -> MixingDistribution:

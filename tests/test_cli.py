@@ -279,6 +279,34 @@ def test_cm_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
     assert f"option --tol={float(tol)} must be non-negative and finite" in res.stderr
 
 
+HUGE_K = str(10**20)
+
+
+@pytest.mark.parametrize("args", [
+    ("tail", "--dist", HALF_ATOM),
+    ("cm-check", "--dist", HALF_ATOM),
+    ("counterexample", "--alpha", "1/7", "--beta", "2/3"),
+    ("survival", "--dist", HALF_ATOM),
+    ("skeleton", "--dist", HALF_ATOM),
+    ("simulate", "--dist", HALF_ATOM),
+], ids=lambda a: a[0])
+def test_a_truncation_order_past_a_c_index_is_exit_2(args):
+    """K = 10**20 raised OverflowError from repeat(a, K), exit 1 with a traceback."""
+    res = run(*args, "--K", HUGE_K)
+    assert res.exit_code == 2, res.output
+    assert f"truncation order K={HUGE_K} must be below {sys.maxsize}" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["laplace", "bounds"])
+def test_a_transform_point_that_rounds_to_1_names_lam_and_s(command):
+    """lam/(lam+s) rounds to 1.0 at s = 1e-320; the refusal named a z never given."""
+    res = run(command, "--dist", HALF_ATOM, "--s", "1e-320")
+    assert res.exit_code == 2, res.output
+    assert res.output == ""
+    assert "lam/(lam+s) at lam=1 and s=1e-320 rounds to 1.0, outside (0, 1)" in res.stderr
+    assert "z=" not in res.stderr
+
+
 def test_cm_check_past_the_float_range_gives_its_verdict():
     res = run("cm-check", "--dist", BEYOND_FLOATS, "--K", "5", "--J", "2")
     assert res.exit_code == 0, res.output

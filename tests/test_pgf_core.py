@@ -3,6 +3,8 @@
 import math
 import pickle
 import random
+import signal
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -243,11 +245,17 @@ def test_cached_facts_equal_reference_paths(q, K, tol):
     """Validity and the integer form read off the numerators equal the Fraction routes."""
     t = tail_sequence(q, K)
     assert t.violation == TailSequence.from_values(t.values).violation
-    N, D = t.integers
-    N = list(N)  # made lazily, in k order
-    assert len(N) == K + 1 and all(F(n, D) == v for n, v in zip(N, t.values))
+    R, D, B = t.integers
+    R = list(R)  # made lazily, in k order
+    assert len(R) == K + 1 and all(F(r * B ** (K - k), D) == v
+                                   for k, (r, v) in enumerate(zip(R, t.values)))
     for J in range(K + 1):
         assert is_completely_monotone(t, J, tol) == is_completely_monotone(list(t.values), J, tol)
+
+
+# half at 1/6 and half at 5/6: 19 of the 41 entries at K = 40 keep a power of B to strip
+# after ``_lowest``'s first step
+_PAST_THE_FIRST_STEP = mix([(F(1, 2), point_mass("1/6")), (F(1, 2), point_mass("5/6"))])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -257,6 +265,7 @@ def test_cached_facts_equal_reference_paths(q, K, tol):
 @example(q=_REDUCTION_LAWS[-1], K=200)
 @example(q=_REDUCTION_LAWS[-2], K=200)
 @example(q=_REDUCTION_LAWS[0], K=0)
+@example(q=_PAST_THE_FIRST_STEP, K=40)
 def test_tail_entries_are_reduced_fractions(q, K):
     """Each entry is a Fraction with the terms of Fraction(n_k, M*(k+1)*B**(k+1))."""
     t = tail_sequence(q, K)
@@ -264,6 +273,34 @@ def test_tail_entries_are_reduced_fractions(q, K):
     for k, v in enumerate(t.values):
         ref = F(n[k], M * (k + 1) * B ** (k + 1))
         assert type(v) is F and (v.numerator, v.denominator) == (ref.numerator, ref.denominator)
+
+
+def test_some_entries_go_past_the_first_reduction_step():
+    """At 1/6 and 5/6, n_k = 6*(k+1)*(5**k + 1), and 6 | 5**k + 1 at odd k: the first step
+    then strips 6**2, the denominator it leaves lacks the prime 3, and ``_lowest`` goes on
+    for k = 3, 5, ..., 39."""
+    n, M, B = tail_sequence(_PAST_THE_FIRST_STEP, 40)._scaled
+    X = [(k + 1) * M * B ** min(2, k + 1) for k in range(41)]
+    left = [k for k in range(2, 41) if pow(X[k] // math.gcd(n[k], X[k]), B.bit_length(), B)]
+    assert left == list(range(3, 41, 2))
+
+
+def test_a_truncation_order_past_a_c_index_is_refused_at_once():
+    """K = sys.maxsize + 1 raised OverflowError on an exact law and never returned on a
+    float one; both are refused before any entry is made."""
+    def stop(*_):
+        raise TimeoutError("tail_sequence still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        for q in (point_mass("1/2"), point_mass(0.5)):
+            for K in (sys.maxsize, sys.maxsize + 1):
+                with pytest.raises(ValidationError, match=f"truncation order K={K} must be"):
+                    tail_sequence(q, K)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _float_copy(q):

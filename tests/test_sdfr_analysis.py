@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockpgf import (
@@ -146,8 +146,22 @@ _tols = st.one_of(st.sampled_from((0, 0.0, math.inf)), st.fractions(0, 1, max_de
                   st.floats(0, 1))
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def draw(self, strategy, label=None):
+        return self.draws.pop(0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(u=st.one_of(_exact_seqs, _float_seqs), tol=_tols, data=st.data())
+# tol > 0 with the first violation in the last and the next-to-last cell of row 1
+@example(u=[F(1), F(1, 2), F(1, 4), F(1, 2)], tol=F(1, 10), data=_Draws(1))
+@example(u=[F(1), F(1, 2), F(1, 4), F(1, 2), F(1, 2)], tol=F(1, 10), data=_Draws(1))
+@example(u=[F(1), F(2), F(-3)], tol=math.inf, data=_Draws(2))
 def test_cm_check_matches_full_table_scan(u, tol, data):
     """Early exit and the integer common denominator change no verdict."""
     J = data.draw(st.integers(0, len(u) - 1))
@@ -156,6 +170,11 @@ def test_cm_check_matches_full_table_scan(u, tol, data):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), K=st.integers(1, 60), tol=_tols, data=st.data())
+# tol > 0 with the first violation at (4, 1), where B**(K-k-j) is 1 and then B
+@example(seed=0, K=5, tol=F(1, 1000), data=_Draws(4))
+@example(seed=0, K=6, tol=F(1, 1000), data=_Draws(4))
+@example(seed=5, K=2, tol=math.inf, data=_Draws(1))  # fails at (1, 1) at tol = 1/1000
+@example(seed=1, K=60, tol=0, data=_Draws(60))  # a full table in R, D of 910 bits
 def test_cm_check_matches_full_table_scan_on_tails(seed, K, tol, data):
     """With tol > 0 the limit ceil(-tol*D) rests on a denominator that is not the least."""
     rng = random.Random(seed)
