@@ -51,11 +51,9 @@ def random_unit_support(rng: random.Random) -> MixingDistribution:
     while len(cuts) < 2 * n_segments:
         cuts.add(_rational_strictly_between(rng, Fraction(0), Fraction(1)))
     edges = sorted(cuts)
-    segments = []
-    for j in range(n_segments):
-        lo, hi = edges[2 * j], edges[2 * j + 1]
-        segments.append(Segment(lo, hi, masses[n_atoms + j] / (hi - lo)))
-    return MixingDistribution(tuple(atoms), tuple(segments))
+    segments = tuple(Segment(lo, hi, m / (hi - lo))
+                     for lo, hi, m in zip(edges[::2], edges[1::2], masses[n_atoms:]))
+    return MixingDistribution(tuple(atoms), segments)
 
 
 def random_admissible_params(rng: random.Random) -> CounterexampleParams:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -22,6 +22,7 @@ Num = int | Fraction | float
 
 #: absolute slack allowed when float-valued masses must sum to one
 MASS_TOL = 1e-12
+_set = object.__setattr__  # sets a ``Record``'s field in ``__init__``
 
 
 def parse_number(x: int | float | str | Fraction) -> Num:
@@ -61,8 +62,9 @@ def is_exact(x: Num) -> bool:
 def jsonable(x):
     """JSON form of a value: int or "num/den" when exact, float for other numbers, with
     "inf", "-inf" and "nan" for the non-finite ones, which RFC 8259 JSON cannot hold; str,
-    bool and None as they are; containers element by element; a dataclass as a dict of
-    its public fields in declaration order. Scalars, nearly every call, are tested first."""
+    bool and None as they are; containers element by element; a ``Record`` as a dict of the
+    fields its class names in ``_fields``, in that order. Scalars, nearly every call, are
+    tested first."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
@@ -73,9 +75,8 @@ def jsonable(x):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if is_dataclass(x):
-        return {f.name: jsonable(getattr(x, f.name))
-                for f in fields(x) if not f.name.startswith("_")}
+    if isinstance(x, Record):
+        return dict(zip(x._fields, map(jsonable, x._values)))
     return jsonable(float(x))
 
 
@@ -122,29 +123,61 @@ def require_nonnegative(x, what: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Atom:
+class Record:
+    """Base of the immutable value types: ``__init__`` sets the fields ``_fields`` names with
+    ``_set``, and equality, hash, repr, pickle and ``jsonable`` read them in that order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):  # ``_values``: the tuple of the field values, read in C
+        get = attrgetter(*cls._fields)  # the value itself when there is one field
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._values))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Atom(Record):
     """Point mass p at location y."""
 
-    y: Num
-    p: Num
+    __slots__ = _fields = ("y", "p")
+
+    def __init__(self, y: Num, p: Num):
+        _set(self, "y", y)
+        _set(self, "p", p)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """Constant density on the half-open interval [lo, hi)."""
 
-    lo: Num
-    hi: Num
-    density: Num
+    __slots__ = _fields = ("lo", "hi", "density")
+
+    def __init__(self, lo: Num, hi: Num, density: Num):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "density", density)
 
     @property
     def mass(self) -> Num:
         return self.density * (self.hi - self.lo)
 
 
-@dataclass(frozen=True)
-class MixingDistribution:
+class MixingDistribution(Record):
     """Point masses plus a piecewise-constant density on [0, inf).
 
     Every scalar is read by ``parse_number`` (a string such as "1/7" is exact, an int
@@ -157,23 +190,22 @@ class MixingDistribution:
     they stay out of equality, hashing, repr, JSON and pickles.
     """
 
-    atoms: tuple[Atom, ...] = ()
-    segments: tuple[Segment, ...] = ()
+    _fields = ("atoms", "segments")
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: tuple[Atom, ...] = (), segments: tuple[Segment, ...] = ()):
         def parsed(part):  # the part itself when each scalar is a Fraction or a finite float
-            given = vars(part)
-            if not all(isinstance(x, (Fraction, float)) for x in given.values()):
-                return parsed(type(part)(**{k: parse_number(x) for k, x in given.items()}))
-            for k, x in given.items():
+            given = part._values
+            if not all(isinstance(x, (Fraction, float)) for x in given):
+                return parsed(type(part)(*map(parse_number, given)))
+            for k, x in zip(part._fields, given):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ValidationError(f"{type(part).__name__.lower()} {k}={x!r} is not finite")
             return part
 
-        atoms = tuple(sorted(map(parsed, self.atoms), key=lambda a: a.y))
-        segments = tuple(sorted(map(parsed, self.segments), key=lambda s: s.lo))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "segments", segments)
+        atoms = tuple(sorted(map(parsed, atoms), key=lambda a: a.y))
+        segments = tuple(sorted(map(parsed, segments), key=lambda s: s.lo))
+        _set(self, "atoms", atoms)
+        _set(self, "segments", segments)
         seen = set()
         for a in atoms:
             if a.y < 0:
@@ -207,7 +239,7 @@ class MixingDistribution:
     @property
     def exact(self) -> bool:  # the constructor leaves each scalar a Fraction or a float
         return not any(isinstance(x, float) for part in (*self.atoms, *self.segments)
-                       for x in vars(part).values())
+                       for x in part._values)
 
     @property
     def total_mass(self) -> Num:
@@ -255,11 +287,7 @@ class MixingDistribution:
         return mean_y, integrate(self, lambda y: 1 / y,
                                  lambda lo, hi, d: d * math.log1p((hi - lo) / lo))
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json_dict(self) -> dict:
-        return jsonable(self)
+    to_json_dict = jsonable
 
     @classmethod
     def from_json_dict(cls, doc) -> "MixingDistribution":
@@ -275,7 +303,7 @@ class MixingDistribution:
             entries = [] if doc.get(key) is None else doc[key]
             if not isinstance(entries, list):
                 raise ValidationError(f"{key!r} must be a list, got {type(entries).__name__}")
-            return tuple(kind(*(grab(entry, f.name, f"{key}[{i}]") for f in fields(kind)))
+            return tuple(kind(*(grab(entry, f, f"{key}[{i}]") for f in kind._fields))
                          for i, entry in enumerate(entries))
 
         return cls(parts("atoms", Atom), parts("segments", Segment))

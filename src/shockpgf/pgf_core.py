@@ -15,28 +15,15 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, le, mul
-from typing import Iterator
+from operator import add, floordiv, le, mul, sub
 
 from .errors import NumericError, ValidationError
-from .measures import (
-    MASS_TOL,
-    MixingDistribution,
-    Num,
-    Segment,
-    csv_text,
-    integrate,
-    is_exact,
-    jsonable,
-    parse_number,
-    require_int,
-    require_positive,
-)
+from .measures import (MASS_TOL, MixingDistribution, Num, Record, Segment, _set, csv_text,
+                       integrate, is_exact, jsonable, parse_number, require_int, require_positive)
 
 
 def kernel(y, z) -> Num:
@@ -169,8 +156,7 @@ def _lcm_through(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class TailSequence:
+class TailSequence(Record):
     """Tails u_k = P(count > k), k = 0..K.
 
     ``exact``, ``violation`` and ``floats`` are computed once and kept (the table is
@@ -178,9 +164,14 @@ class TailSequence:
     of them nor ``_scaled`` enter equality, hashing or repr.
     """
 
-    values: tuple[Num, ...]
-    # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
-    _scaled: tuple | None = field(default=None, compare=False, repr=False, kw_only=True)
+    _fields = ("values",)
+
+    def __init__(self, values: tuple[Num, ...], *, _scaled: tuple | None = None):
+        _set(self, "values", values)
+        # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
+        _set(self, "_scaled", _scaled)
+
+    __reduce__ = object.__reduce__  # pickled with its ``__dict__``, ``_scaled`` included
 
     @classmethod
     def from_values(cls, values) -> "TailSequence":
@@ -260,8 +251,7 @@ class TailSequence:
                         ((k, v, f) for k, (v, f) in enumerate(zip(self.values, self.floats))))
 
 
-@dataclass(frozen=True)
-class PmfSequence:
+class PmfSequence(Record):
     """Probability masses q_0..q_N of a count variable.
 
     ``tail_ratio`` declares a geometric continuation beyond the stored
@@ -269,11 +259,10 @@ class PmfSequence:
     truncated sequence.
     """
 
-    values: tuple[Num, ...]
-    tail_ratio: Num | None = None
+    __slots__ = _fields = ("values", "tail_ratio")
 
-    def __post_init__(self) -> None:
-        vals, tail_ratio = tuple(self.values), self.tail_ratio
+    def __init__(self, values: tuple[Num, ...], tail_ratio: Num | None = None):
+        vals = tuple(values)
         if not vals:
             raise ValidationError("pmf must have at least one entry")
         for n, v in enumerate(vals):
@@ -285,8 +274,8 @@ class PmfSequence:
                 raise ValidationError(f"pmf entry q_{n} = {v} is negative")
         if tail_ratio is not None:
             tail_ratio = require_positive(tail_ratio, "tail ratio", 1)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tail_ratio", tail_ratio)
+        _set(self, "values", vals)
+        _set(self, "tail_ratio", tail_ratio)
         total = sum(vals)
         if tail_ratio is not None and vals[-1] > 0:
             total = total + vals[-1] * tail_ratio / (1 - tail_ratio)
@@ -410,9 +399,7 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
 def pmf_from_tail(t: TailSequence) -> PmfSequence:
     """Differences of a valid tail sequence: q_n = u_{n-1} - u_n, q_0 = 1 - u_0."""
     require_tail(t)
-    vals = [1 - t.values[0]]
-    vals += [t.values[n - 1] - t.values[n] for n in range(1, len(t.values))]
-    return PmfSequence(vals)
+    return PmfSequence([1 - t.values[0], *map(sub, t.values, t.values[1:])])
 
 
 def geometric_pmf(success, K: int = 16) -> PmfSequence:
@@ -463,22 +450,21 @@ def lemma22_coefficients(q: PmfSequence, K: int) -> list[Num]:
     return out
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
+class CounterexampleParams(Record):
     """Two parameters of the piecewise-constant family used as a stress case.
 
     alpha sets the width of the overshoot segment past 1, beta its mass.
     Both must be rational so the family's closed forms stay exact.
     """
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        for name, v in (("alpha", alpha), ("beta", beta)):
             if not isinstance(v, Fraction):
                 raise ValidationError(f"{name} must be a Fraction, got {type(v).__name__}")
             require_positive(v, name, 1)
+            _set(self, name, v)
 
     @property
     def admissible(self) -> bool:

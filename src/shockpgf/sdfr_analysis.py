@@ -11,23 +11,14 @@ interval masses, and the two-sided geometric bounds on the mixture p.g.f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, pairwise, repeat, starmap, takewhile, tee
-from operator import eq, floordiv, le, mul, sub
+from itertools import accumulate, compress, count, pairwise, repeat, starmap, takewhile, tee
+from operator import eq, floordiv, gt, le, mul, sub
 
 from .errors import ValidationError
-from .measures import (
-    MixingDistribution,
-    Num,
-    csv_text,
-    is_exact,
-    jsonable,
-    parse_number,
-    require_int,
-    require_positive,
-)
+from .measures import (MixingDistribution, Num, Record, _set, csv_text, is_exact, jsonable,
+                       parse_number, require_int, require_positive)
 from .pgf_core import TailSequence, kernel, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
@@ -35,15 +26,17 @@ VERDICT_UNIT_SUPPORT = "sdfr_support_in_unit"
 VERDICT_CANDIDATE = "candidate_mass_in_1_2"
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(Record):
     """Iterated forward decrements: row j applies u_k - u_{k+1} j times.
 
     Row j has len(u) - j entries; entry (j, k) is non-negative for every j
     and k exactly when u is completely monotone up to order J.
     """
 
-    entries: tuple[tuple[Num, ...], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Num, ...], ...]):
+        _set(self, "entries", entries)
 
     @property
     def J(self) -> int:
@@ -110,8 +103,9 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
     integers, and at 0 < tol < inf, R is first put over D (B = 1) and a cell v
     fails when v < ceil(-tol*D), which is v/D < -tol in exact arithmetic. Any
     other input is differenced in its own arithmetic, as ``difference_table``
-    does, and a NaN entry is refused. Use tol=0 for exact input; for float
-    input a small tolerance absorbs cancellation noise.
+    does: a NaN entry is refused, and a NaN cell (inf - inf) is not below -tol.
+    Use tol=0 for exact input; for float input a small tolerance absorbs
+    cancellation noise.
     """
     if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
@@ -123,16 +117,17 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
             row, B = map(mul, row, accumulate(repeat(B, t.K), floordiv, initial=B**t.K)), 1
     else:
         row, B, limit = t.values, 1, -tol
-    start = 2 if t.exact and t.violation is None else 0
+    start = min(2, J) if t.exact and t.violation is None else 0
     for _ in range(start):
         row = _decrements(row, B)
-    for j in range(start, J + 1):
-        if j > start:
-            row = list(_decrements(row, B))
-        if j == start or min(row) < limit:  # read up to the first cell below limit
-            row = list(takewhile(partial(le, limit), row))
-            if len(row) < len(t.values) - j:
-                return False, (j, len(row))
+    row = list(takewhile(partial(le, limit), row))  # read up to the first cell below limit
+    if len(row) < len(t.values) - start:  # the start row holds no NaN: ``_table`` refuses it
+        return False, (start, len(row))
+    for j in range(start + 1, J + 1):
+        row = list(_decrements(row, B))
+        if not limit <= min(row):  # min is NaN when the row starts with NaN (inf - inf)
+            if (k := next(compress(count(), map(partial(gt, limit), row)), -1)) >= 0:
+                return False, (j, k)  # the first cell below limit: no NaN is below it
     return True, None
 
 
@@ -144,14 +139,16 @@ def tail_validity(u) -> tuple[bool, str | None]:
     return u.violation is None, u.violation
 
 
-@dataclass(frozen=True)
-class SupportClassification:
+class SupportClassification(Record):
     """Where the mass of a mixing distribution sits, and what that implies."""
 
-    verdict: str
-    m01: Num
-    m12: Num
-    m2: Num
+    __slots__ = _fields = ("verdict", "m01", "m12", "m2")
+
+    def __init__(self, verdict: str, m01: Num, m12: Num, m2: Num):
+        _set(self, "verdict", verdict)
+        _set(self, "m01", m01)
+        _set(self, "m12", m12)
+        _set(self, "m2", m2)
 
     def to_json_dict(self) -> dict:
         doc = jsonable(self)
@@ -193,8 +190,7 @@ def expected_shocks(q: MixingDistribution) -> Num:
     return q._means[1]
 
 
-@dataclass(frozen=True)
-class PgfBounds:
+class PgfBounds(Record):
     """Two-sided geometric bounds around the mixture value at one point.
 
     ``upper_is_geometric`` records whether the upper curve is itself a
@@ -202,13 +198,18 @@ class PgfBounds:
     below one.
     """
 
-    z: Num
-    lower: Num
-    phi: Num
-    upper: Num
-    upper_is_geometric: bool
-    mean_y: Num
-    mean_shocks: Num
+    __slots__ = _fields = ("z", "lower", "phi", "upper", "upper_is_geometric", "mean_y",
+                           "mean_shocks")
+
+    def __init__(self, z: Num, lower: Num, phi: Num, upper: Num, upper_is_geometric: bool,
+                 mean_y: Num, mean_shocks: Num):
+        _set(self, "z", z)
+        _set(self, "lower", lower)
+        _set(self, "phi", phi)
+        _set(self, "upper", upper)
+        _set(self, "upper_is_geometric", upper_is_geometric)
+        _set(self, "mean_y", mean_y)
+        _set(self, "mean_shocks", mean_shocks)
 
 
 def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
@@ -231,16 +232,19 @@ def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     return PgfBounds(z, lower, phi, upper, bool(mean_y <= 1), mean_y, mean_shocks)
 
 
-@dataclass(frozen=True)
-class LaplaceOrderBounds:
+class LaplaceOrderBounds(Record):
     """Transform-order bounds at a single frequency s."""
 
-    s: Num
-    lam: Num
-    lower: Num
-    value: Num
-    upper: Num
-    upper_is_exponential: bool
+    __slots__ = _fields = ("s", "lam", "lower", "value", "upper", "upper_is_exponential")
+
+    def __init__(self, s: Num, lam: Num, lower: Num, value: Num, upper: Num,
+                 upper_is_exponential: bool):
+        _set(self, "s", s)
+        _set(self, "lam", lam)
+        _set(self, "lower", lower)
+        _set(self, "value", value)
+        _set(self, "upper", upper)
+        _set(self, "upper_is_exponential", upper_is_exponential)
 
 
 def _transform_point(lam, s) -> tuple[Num, Num, Num]:

@@ -16,26 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .errors import NumericError, ValidationError
-from .measures import (
-    Atom,
-    MASS_TOL,
-    MixingDistribution,
-    Num,
-    Segment,
-    csv_text,
-    integrate,
-    is_exact,
-    mass_on,
-    parse_number,
-    require_int,
-    require_nonnegative,
-    require_positive,
-)
+from .measures import (Atom, MASS_TOL, MixingDistribution, Num, Record, Segment, _set, csv_text,
+                       integrate, is_exact, mass_on, parse_number, require_int,
+                       require_nonnegative, require_positive)
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
 from .sdfr_analysis import _transform_point, is_completely_monotone
 
@@ -44,8 +31,7 @@ _GUIDE = 1 << 14
 _KEY_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ShockModelParams:
+class ShockModelParams(Record):
     """Arrival rate plus numeric knobs for the survival series.
 
     series_tol bounds the Poisson mass discarded by truncation; tails are
@@ -53,15 +39,13 @@ class ShockModelParams:
     the default evaluation grid for reports and simulations.
     """
 
-    lam: Num
-    series_tol: float = 1e-12
-    time_grid: tuple[float, ...] = ()
+    __slots__ = _fields = ("lam", "series_tol", "time_grid")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", require_positive(self.lam, "arrival rate lam"))
-        object.__setattr__(self, "series_tol", require_positive(self.series_tol, "series_tol", 1))
-        grid = tuple(require_nonnegative(t, "time grid entries") for t in self.time_grid)
-        object.__setattr__(self, "time_grid", grid)
+    def __init__(self, lam: Num, series_tol: float = 1e-12, time_grid: tuple[float, ...] = ()):
+        _set(self, "lam", require_positive(lam, "arrival rate lam"))
+        _set(self, "series_tol", require_positive(series_tol, "series_tol", 1))
+        grid = tuple(require_nonnegative(t, "time grid entries") for t in time_grid)
+        _set(self, "time_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
 
@@ -295,19 +279,22 @@ def _draw_locations(table, n: int, rng: np.random.Generator) -> np.ndarray:
     return base[idx] + v * width[idx]
 
 
-@dataclass(frozen=True)
-class SimulatedCurve:
+class SimulatedCurve(Record):
     """A simulator's report, one row per grid point: the empirical curve, its standard
     error and the analytic curve. ``column`` names the grid: "t" for shock-model
     survival over time, "z" for the generating function of a first-success count."""
 
-    column: str
-    grid: tuple[float, ...]
-    empirical: tuple[float, ...]
-    std_err: tuple[float, ...]
-    analytic: tuple[float, ...]
-    n: int
-    seed: int
+    __slots__ = _fields = ("column", "grid", "empirical", "std_err", "analytic", "n", "seed")
+
+    def __init__(self, column: str, grid: tuple[float, ...], empirical: tuple[float, ...],
+                 std_err: tuple[float, ...], analytic: tuple[float, ...], n: int, seed: int):
+        _set(self, "column", column)
+        _set(self, "grid", grid)
+        _set(self, "empirical", empirical)
+        _set(self, "std_err", std_err)
+        _set(self, "analytic", analytic)
+        _set(self, "n", n)
+        _set(self, "seed", seed)
 
     def _columns_rows(self):
         rows = zip(self.grid, self.empirical, self.std_err, self.analytic)
@@ -365,12 +352,9 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         j = _invert_tail(tail, guide, np.maximum(u, 1e-300, out=u), tail_model, ratio)
         gaps = _stream(seed, 2 * b + 1).gamma(shape=j.astype(np.float64), scale=1.0 / lam)
         times[start:start + count] = gaps
-    emp, se = [], []
-    for t in params.time_grid:
-        p = np.count_nonzero(times > t) / n
-        emp.append(p)
-        se.append(math.sqrt(p * (1.0 - p) / n))
-    return SimulatedCurve("t", params.time_grid, tuple(emp), tuple(se), ana, n, seed)
+    emp = tuple(np.count_nonzero(times > t) / n for t in params.time_grid)
+    se = tuple(math.sqrt(p * (1.0 - p) / n) for p in emp)
+    return SimulatedCurve("t", params.time_grid, emp, se, ana, n, seed)
 
 
 def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedCurve:

@@ -107,7 +107,8 @@ def test_exact_command_runs_without_numpy():
 
 
 # Runs the CLI in a fresh interpreter, then lists on stderr's last line the library modules
-# it loaded (``shockpgf.*`` but the CLI itself), and numpy and click when they were loaded.
+# it loaded (``shockpgf.*`` but the CLI itself), and numpy, click, dataclasses, inspect and
+# typing when they were loaded.
 LOADED_BY = """
 import json, sys
 from shockpgf.cli import main
@@ -115,7 +116,8 @@ try:
     code = main(sys.argv[1:])
 finally:
     names = {m.removeprefix("shockpgf.") for m in sys.modules if m.startswith("shockpgf.")}
-    names = (names - {"cli"}) | ({"numpy", "click"} & set(sys.modules))
+    names = (names - {"cli"}) | ({"numpy", "click", "dataclasses", "inspect", "typing"}
+                                 & set(sys.modules))
     print(json.dumps(sorted(names)), file=sys.stderr)
 sys.exit(code)
 """
@@ -143,13 +145,25 @@ LOADS = {
 def test_each_command_loads_only_what_it_calls(case):
     """The CLI reads the library through the package, so only simulate loads numpy, and
     --version or an unreadable --dist loads no library module but ``errors``. No command
-    loads click."""
+    loads click or dataclasses, and none but simulate, whose numpy imports it, loads
+    inspect. ``site`` may load typing, so this run does not count it."""
     args, code, modules = LOADS[case]
     res = run_python("-c", LOADED_BY, *args)
     assert res.returncode == code, res.stderr
-    loaded = json.loads(res.stderr.splitlines()[-1])
-    assert "click" not in loaded
-    assert loaded == sorted(modules)
+    loaded = set(json.loads(res.stderr.splitlines()[-1])) - {"typing"}
+    assert not {"click", "dataclasses"} & loaded
+    assert "inspect" not in loaded or "numpy" in loaded
+    assert sorted(loaded - {"inspect"}) == sorted(modules)
+
+
+@pytest.mark.parametrize("case", sorted(set(LOADS) - {"simulate"}))
+def test_without_site_no_command_loads_typing(case):
+    """Under ``python -S`` no ``.pth`` file runs first, so a command that loaded typing,
+    dataclasses or inspect would list it here. simulate needs numpy from site-packages."""
+    args, code, modules = LOADS[case]
+    res = run_python("-S", "-c", LOADED_BY, *args)
+    assert res.returncode == code, res.stderr
+    assert json.loads(res.stderr.splitlines()[-1]) == sorted(modules)
 
 
 # Blocks numpy and click, then checks the exact core: every tail entry is a Fraction in the

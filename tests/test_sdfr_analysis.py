@@ -118,6 +118,19 @@ def test_cm_rejects_nan_tolerance():
         is_completely_monotone((F(1), F(2)), 1, math.nan)
 
 
+def test_cm_check_reads_past_a_nan_cell():
+    """A row that starts with NaN (inf - inf) still has its negative cells found: NaN is
+    the row's min when it comes first, and no comparison with it is true."""
+    u = [math.inf, math.inf, 1.0, 5.0]
+    assert [list(map(repr, row)) for row in difference_table(u, 1).entries] == [
+        ["inf", "inf", "1.0", "5.0"], ["nan", "inf", "-4.0"]]
+    assert is_completely_monotone(u, 1) == (False, (1, 2))
+    assert is_completely_monotone(u, 1, 1e-9) == (False, (1, 2))
+    assert is_completely_monotone(u, 0) == (True, None)
+    assert is_completely_monotone([1.0, math.inf, math.inf, 5.0, 1.0], 2) == (False, (1, 0))
+    assert is_completely_monotone([-math.inf, -math.inf, -1.0], 1) == (False, (0, 0))
+
+
 def _first_violation_by_table(u, J, tol):
     """Reference verdict: scan the whole difference table row by row."""
     for j, row in enumerate(difference_table(u, J).entries):
@@ -141,6 +154,9 @@ _exact_seqs = st.one_of(
 _float_seqs = st.one_of(
     st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=14),
     _moments.map(lambda u: [float(v) for v in u]),
+    # inf - inf makes NaN cells, which are never below -tol
+    st.lists(st.one_of(st.floats(-2, 2, allow_nan=False), st.sampled_from((math.inf, -math.inf))),
+             min_size=1, max_size=8),
 )
 _tols = st.one_of(st.sampled_from((0, 0.0, math.inf)), st.fractions(0, 1, max_denominator=1000),
                   st.floats(0, 1))
@@ -162,6 +178,7 @@ class _Draws:
 @example(u=[F(1), F(1, 2), F(1, 4), F(1, 2)], tol=F(1, 10), data=_Draws(1))
 @example(u=[F(1), F(1, 2), F(1, 4), F(1, 2), F(1, 2)], tol=F(1, 10), data=_Draws(1))
 @example(u=[F(1), F(2), F(-3)], tol=math.inf, data=_Draws(2))
+@example(u=[math.inf, math.inf, 1.0, 5.0], tol=0, data=_Draws(1))  # row 1 is (nan, inf, -4.0)
 def test_cm_check_matches_full_table_scan(u, tol, data):
     """Early exit and the integer common denominator change no verdict."""
     J = data.draw(st.integers(0, len(u) - 1))
