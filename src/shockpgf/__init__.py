@@ -16,14 +16,14 @@ _EXPORTS = {
                  "counterexample_params", "counterexample_tail",
                  "counterexample_tail_sequence", "geometric_pmf", "kernel",
                  "lemma22_coefficients", "monotonicity_condition", "pgf_eval",
-                 "pmf_from_tail", "resistance_gf", "tail_sequence"),
+                 "resistance_gf", "tail_sequence"),
     "sdfr_analysis": ("VERDICT_CANDIDATE", "VERDICT_NOT_PGF", "VERDICT_UNIT_SUPPORT",
                       "DifferenceTable", "LaplaceOrderBounds", "PgfBounds",
                       "SupportClassification", "classify_support", "difference_table",
                       "expected_shocks", "is_completely_monotone", "laplace_order_bounds",
                       "pgf_bounds", "tail_validity"),
     "shock_model": ("ShockModelParams", "SimulatedCurve", "exp_mixture_survival", "laplace",
-                    "poisson_truncation_order", "rate_mixture", "sdfr_skeleton_check",
+                    "rate_mixture", "sdfr_skeleton_check",
                     "simulate_de_finetti", "simulate_failure_times", "survival"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

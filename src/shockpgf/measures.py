@@ -22,7 +22,7 @@ Num = int | Fraction | float
 
 #: absolute slack allowed when float-valued masses must sum to one
 MASS_TOL = 1e-12
-_set = object.__setattr__  # sets a ``Record``'s field in ``__init__``
+_set = object.__setattr__  # sets an attribute of a ``Record``, whose ``setattr`` refuses
 
 
 def parse_number(x: int | float | str | Fraction) -> Num:
@@ -124,10 +124,28 @@ def require_nonnegative(x, what: str) -> float:
 
 
 class Record:
-    """Base of the immutable value types: ``__init__`` sets the fields ``_fields`` names with
-    ``_set``, and equality, hash, repr, pickle and ``jsonable`` read them in that order."""
+    """Base of the immutable value types. Its ``__init__`` is their constructor: it sets each
+    field that ``_fields`` names once, by position and then by keyword; a class that checks
+    its values calls it from its own ``__init__``. Equality, hash, repr, pickle and ``jsonable``
+    read the fields in that order."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            _set(self, name, named.pop(name))
+        if named:
+            name = next(iter(named))
+            raise TypeError(f"{type(self).__name__} got field {name!r} twice" if name in fields
+                            else f"{type(self).__name__} has no field {name!r}")
 
     def __init_subclass__(cls):  # ``_values``: the tuple of the field values, read in C
         get = attrgetter(*cls._fields)  # the value itself when there is one field
@@ -157,20 +175,11 @@ class Atom(Record):
 
     __slots__ = _fields = ("y", "p")
 
-    def __init__(self, y: Num, p: Num):
-        _set(self, "y", y)
-        _set(self, "p", p)
-
 
 class Segment(Record):
     """Constant density on the half-open interval [lo, hi)."""
 
     __slots__ = _fields = ("lo", "hi", "density")
-
-    def __init__(self, lo: Num, hi: Num, density: Num):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "density", density)
 
     @property
     def mass(self) -> Num:
@@ -204,8 +213,7 @@ class MixingDistribution(Record):
 
         atoms = tuple(sorted(map(parsed, atoms), key=lambda a: a.y))
         segments = tuple(sorted(map(parsed, segments), key=lambda s: s.lo))
-        _set(self, "atoms", atoms)
-        _set(self, "segments", segments)
+        super().__init__(atoms, segments)
         seen = set()
         for a in atoms:
             if a.y < 0:

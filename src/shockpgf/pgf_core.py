@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, le, mul, sub
+from operator import add, floordiv, le, mul
 
 from .errors import NumericError, ValidationError
 from .measures import (MASS_TOL, MixingDistribution, Num, Record, Segment, _set, csv_text,
@@ -167,7 +167,7 @@ class TailSequence(Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[Num, ...], *, _scaled: tuple | None = None):
-        _set(self, "values", values)
+        super().__init__(values)
         # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
         _set(self, "_scaled", _scaled)
 
@@ -274,8 +274,7 @@ class PmfSequence(Record):
                 raise ValidationError(f"pmf entry q_{n} = {v} is negative")
         if tail_ratio is not None:
             tail_ratio = require_positive(tail_ratio, "tail ratio", 1)
-        _set(self, "values", vals)
-        _set(self, "tail_ratio", tail_ratio)
+        super().__init__(vals, tail_ratio)
         total = sum(vals)
         if tail_ratio is not None and vals[-1] > 0:
             total = total + vals[-1] * tail_ratio / (1 - tail_ratio)
@@ -396,12 +395,6 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     return TailSequence(tuple(values), _scaled=(nums, M, B))
 
 
-def pmf_from_tail(t: TailSequence) -> PmfSequence:
-    """Differences of a valid tail sequence: q_n = u_{n-1} - u_n, q_0 = 1 - u_0."""
-    require_tail(t)
-    return PmfSequence([1 - t.values[0], *map(sub, t.values, t.values[1:])])
-
-
 def geometric_pmf(success, K: int = 16) -> PmfSequence:
     """Pmf of the number of failures before a first success.
 
@@ -464,7 +457,7 @@ class CounterexampleParams(Record):
             if not isinstance(v, Fraction):
                 raise ValidationError(f"{name} must be a Fraction, got {type(v).__name__}")
             require_positive(v, name, 1)
-            _set(self, name, v)
+        super().__init__(alpha, beta)
 
     @property
     def admissible(self) -> bool:

@@ -17,7 +17,7 @@ from itertools import accumulate, compress, count, pairwise, repeat, starmap, ta
 from operator import eq, floordiv, gt, le, mul, sub
 
 from .errors import ValidationError
-from .measures import (MixingDistribution, Num, Record, _set, csv_text, is_exact, jsonable,
+from .measures import (MixingDistribution, Num, Record, csv_text, is_exact, jsonable,
                        parse_number, require_int, require_positive)
 from .pgf_core import TailSequence, kernel, pgf_eval
 
@@ -34,9 +34,6 @@ class DifferenceTable(Record):
     """
 
     __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Num, ...], ...]):
-        _set(self, "entries", entries)
 
     @property
     def J(self) -> int:
@@ -144,12 +141,6 @@ class SupportClassification(Record):
 
     __slots__ = _fields = ("verdict", "m01", "m12", "m2")
 
-    def __init__(self, verdict: str, m01: Num, m12: Num, m2: Num):
-        _set(self, "verdict", verdict)
-        _set(self, "m01", m01)
-        _set(self, "m12", m12)
-        _set(self, "m2", m2)
-
     def to_json_dict(self) -> dict:
         doc = jsonable(self)
         return {"verdict": doc.pop("verdict"), "masses": doc}
@@ -201,16 +192,6 @@ class PgfBounds(Record):
     __slots__ = _fields = ("z", "lower", "phi", "upper", "upper_is_geometric", "mean_y",
                            "mean_shocks")
 
-    def __init__(self, z: Num, lower: Num, phi: Num, upper: Num, upper_is_geometric: bool,
-                 mean_y: Num, mean_shocks: Num):
-        _set(self, "z", z)
-        _set(self, "lower", lower)
-        _set(self, "phi", phi)
-        _set(self, "upper", upper)
-        _set(self, "upper_is_geometric", upper_is_geometric)
-        _set(self, "mean_y", mean_y)
-        _set(self, "mean_shocks", mean_shocks)
-
 
 def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     """Pinch phi(z) between the two geometric-type curves it always respects.
@@ -236,15 +217,6 @@ class LaplaceOrderBounds(Record):
     """Transform-order bounds at a single frequency s."""
 
     __slots__ = _fields = ("s", "lam", "lower", "value", "upper", "upper_is_exponential")
-
-    def __init__(self, s: Num, lam: Num, lower: Num, value: Num, upper: Num,
-                 upper_is_exponential: bool):
-        _set(self, "s", s)
-        _set(self, "lam", lam)
-        _set(self, "lower", lower)
-        _set(self, "value", value)
-        _set(self, "upper", upper)
-        _set(self, "upper_is_exponential", upper_is_exponential)
 
 
 def _transform_point(lam, s) -> tuple[Num, Num, Num]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import NumericError, ValidationError
-from .measures import (Atom, MASS_TOL, MixingDistribution, Num, Record, Segment, _set, csv_text,
+from .measures import (Atom, MASS_TOL, MixingDistribution, Num, Record, Segment, csv_text,
                        integrate, is_exact, mass_on, parse_number, require_int,
                        require_nonnegative, require_positive)
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
@@ -42,16 +42,16 @@ class ShockModelParams(Record):
     __slots__ = _fields = ("lam", "series_tol", "time_grid")
 
     def __init__(self, lam: Num, series_tol: float = 1e-12, time_grid: tuple[float, ...] = ()):
-        _set(self, "lam", require_positive(lam, "arrival rate lam"))
-        _set(self, "series_tol", require_positive(series_tol, "series_tol", 1))
-        grid = tuple(require_nonnegative(t, "time grid entries") for t in time_grid)
-        _set(self, "time_grid", grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        super().__init__(require_positive(lam, "arrival rate lam"),
+                         require_positive(series_tol, "series_tol", 1),
+                         tuple(require_nonnegative(t, "time grid entries") for t in time_grid))
+        if any(b <= a for a, b in zip(self.time_grid, self.time_grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
 
 
-def poisson_truncation_order(mu: float, tol: float) -> int:
-    """Smallest K whose Poisson(mu) mass beyond K is below tol.
+def _truncation_order(mu: float, log_tol: float) -> int:
+    """Smallest K whose Poisson(mu) mass beyond K is below tol = exp(log_tol), for mu > 0
+    and log_tol < 0.
 
     Uses the Chernoff bound P(X >= m) <= exp(-mu) * (e*mu/m)**m, valid for
     m > mu, so the returned order is conservative. The exponent falls
@@ -65,12 +65,6 @@ def poisson_truncation_order(mu: float, tol: float) -> int:
     is no longer monotone, and K is one crossing within a few of the first;
     which one depends on where the search starts.
     """
-    require_nonnegative(mu, "mean mu={}")
-    require_positive(tol, "tol", 1)
-    return _truncation_order(mu, math.log(tol)) if mu else 0
-
-
-def _truncation_order(mu, log_tol: float) -> int:  # of a checked mu > 0 and log(tol) < 0
     def bounded(k: int) -> bool:
         m = k + 1
         return -mu + m - m * math.log(m / mu) < log_tol
@@ -119,7 +113,9 @@ def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
         if mu == 0:
             curve.append(1.0)
             continue
-        K = _truncation_order(require_nonnegative(mu, "mean mu={}"), math.log(params.series_tol))
+        if mu == math.inf:
+            raise ValidationError(f"lam*t at lam={params.lam} and t={t} overflows to inf")
+        K = _truncation_order(mu, math.log(params.series_tol))
         if K > t_seq.K:
             raise ValidationError(f"tail sequence too short: series at t={t} needs order {K}, "
                                   f"have {t_seq.K}")
@@ -286,16 +282,6 @@ class SimulatedCurve(Record):
 
     __slots__ = _fields = ("column", "grid", "empirical", "std_err", "analytic", "n", "seed")
 
-    def __init__(self, column: str, grid: tuple[float, ...], empirical: tuple[float, ...],
-                 std_err: tuple[float, ...], analytic: tuple[float, ...], n: int, seed: int):
-        _set(self, "column", column)
-        _set(self, "grid", grid)
-        _set(self, "empirical", empirical)
-        _set(self, "std_err", std_err)
-        _set(self, "analytic", analytic)
-        _set(self, "n", n)
-        _set(self, "seed", seed)
-
     def _columns_rows(self):
         rows = zip(self.grid, self.empirical, self.std_err, self.analytic)
         return (self.column, "empirical", "std_err", "analytic"), rows
@@ -352,7 +338,7 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         j = _invert_tail(tail, guide, np.maximum(u, 1e-300, out=u), tail_model, ratio)
         gaps = _stream(seed, 2 * b + 1).gamma(shape=j.astype(np.float64), scale=1.0 / lam)
         times[start:start + count] = gaps
-    emp = tuple(np.count_nonzero(times > t) / n for t in params.time_grid)
+    emp = tuple(float(np.count_nonzero(times > t) / n) for t in params.time_grid)
     se = tuple(math.sqrt(p * (1.0 - p) / n) for p in emp)
     return SimulatedCurve("t", params.time_grid, emp, se, ana, n, seed)
 

@@ -307,6 +307,18 @@ def test_a_transform_point_that_rounds_to_1_names_lam_and_s(command):
     assert "z=" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [("survival", "--t", "1e308"), ("skeleton", "--delta", "1e308"),
+                                  ("simulate", "--mode", "failure", "--t", "1e308")],
+                         ids=lambda a: a[0])
+def test_a_mean_shock_count_past_the_float_range_names_lam_and_t(args):
+    """lam*t overflows at lam = 10, t = 1e308; the refusal named a mean mu never given."""
+    res = run(args[0], "--dist", HALF_ATOM, "--lam", "10", *args[1:])
+    assert res.exit_code == 2, res.output
+    assert res.output == ""
+    assert "lam*t at lam=10 and t=1e+308 overflows to inf" in res.stderr
+    assert "mu=" not in res.stderr
+
+
 def test_cm_check_past_the_float_range_gives_its_verdict():
     res = run("cm-check", "--dist", BEYOND_FLOATS, "--K", "5", "--J", "2")
     assert res.exit_code == 0, res.output

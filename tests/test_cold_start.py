@@ -9,6 +9,7 @@ import importlib
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,30 @@ def test_exact_core_runs_on_the_standard_library_alone():
     assert res.stdout.splitlines()[:-1] == ["k,value,decimal", "0,1,1.0", "1,1/2,0.5",
                                             "2,1/4,0.25", "3,1/8,0.125"]
     assert res.stdout.splitlines()[-1].startswith("ok")
+
+
+# Blocks numpy, then loads the pickle given in hex and prints its repr.
+UNPICKLE = """
+import pickle, sys
+
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, Blocked())
+print(repr(pickle.loads(bytes.fromhex(sys.argv[1]))))
+"""
+
+
+def test_a_failure_time_curve_unpickles_without_numpy():
+    """Its empirical column held numpy.float64, so its pickle needed numpy to load."""
+    curve = shockpgf.simulate_failure_times(
+        shockpgf.point_mass("1/2"), shockpgf.ShockModelParams(1, time_grid=(0.5, 1, 2)), 2000, 3)
+    assert {type(v) for v in (*curve.empirical, *curve.std_err, *curve.analytic)} == {float}
+    res = run_python("-c", UNPICKLE, pickle.dumps(curve).hex())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == repr(curve) + "\n"
 
 
 def test_gauss_legendre_literals_are_numpys_rule():

@@ -1,6 +1,7 @@
 """The package's value types: each is built by keyword, compares and hashes on its fields,
 prints its fields in order, refuses assignment and deletion, survives a pickle round trip
-and renders its fields as JSON keys in declaration order."""
+and renders its fields as JSON keys in declaration order. A record that checks nothing is
+built by ``Record.__init__``, which refuses a wrong field with TypeError."""
 
 import pickle
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import pytest
 from shockpgf import (Atom, CounterexampleParams, DifferenceTable, LaplaceOrderBounds,
                       MixingDistribution, PgfBounds, PmfSequence, Segment, ShockModelParams,
                       SimulatedCurve, SupportClassification, TailSequence, jsonable)
+from shockpgf.measures import Record
 
 # class: (fields in order with a value each, another valid value per field, repr)
 CASES = {
@@ -97,3 +99,31 @@ def test_a_tables_scaled_form_stays_out_of_equality_and_is_pickled():
     assert pickle.loads(pickle.dumps(scaled))._scaled == ((2, 1), 1, 2)
     with pytest.raises(TypeError):
         TailSequence((F(1),), ((1,), 1, 1))  # ``_scaled`` is keyword-only
+
+
+PLAIN = [cls for cls in CASES if "__init__" not in vars(cls)]
+# how: (call of a plain record from its fields in order, the TypeError's words)
+REFUSED = {
+    "missing": (lambda cls, given: cls(*list(given.values())[:-1]), "is missing field"),
+    "missing-keyword": (lambda cls, given: cls(**dict(list(given.items())[:-1])),
+                        "is missing field"),
+    "position-and-keyword": (lambda cls, given: cls(*list(given.values())[:1], **given),
+                             "twice"),
+    "unknown-keyword": (lambda cls, given: cls(**given, unlisted=1), "has no field 'unlisted'"),
+    "one-too-many": (lambda cls, given: cls(*given.values(), None), "values, got"),
+}
+
+
+def test_seven_records_are_built_by_the_base_constructor():
+    assert [cls.__name__ for cls in PLAIN] == [
+        "Atom", "Segment", "DifferenceTable", "SupportClassification", "PgfBounds",
+        "LaplaceOrderBounds", "SimulatedCurve"]
+    assert all(cls.__init__ is Record.__init__ for cls in PLAIN)
+
+
+@pytest.mark.parametrize("how", REFUSED)
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_a_wrong_field_is_a_type_error(cls, how):
+    call, words = REFUSED[how]
+    with pytest.raises(TypeError, match=words):
+        call(cls, CASES[cls][0])

@@ -29,7 +29,6 @@ from shockpgf import (
     mix,
     pgf_bounds,
     pgf_eval,
-    pmf_from_tail,
     point_mass,
     tail_sequence,
     tail_validity,
@@ -289,11 +288,11 @@ def test_beyond_two_tails_invalid():
 
 
 def test_monotone_mass_bound():
-    """Mass above 1 never exceeds the first pmf entry q_1."""
+    """Mass above 1 never exceeds the first pmf mass q_1 = u_0 - u_1."""
     for seed in range(20):
         q = random_mid_mass(random.Random(seed))
-        pmf = pmf_from_tail(tail_sequence(q, 60))
-        assert mass_on(q, 1, math.inf) <= pmf.values[1], seed
+        u = tail_sequence(q, 60).values
+        assert mass_on(q, 1, math.inf) <= u[0] - u[1], seed
 
 
 def test_pgf_bounds_pinch_counterexample():

@@ -28,7 +28,6 @@ from shockpgf import (
     mix,
     pgf_eval,
     point_mass,
-    poisson_truncation_order,
     rate_mixture,
     sdfr_skeleton_check,
     simulate_de_finetti,
@@ -39,7 +38,7 @@ from shockpgf import (
 )
 from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
-from shockpgf.shock_model import _GUIDE, _guide_table, _invert_tail
+from shockpgf.shock_model import _GUIDE, _guide_table, _invert_tail, _truncation_order
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -56,17 +55,9 @@ def poisson_tail(mu: float, k: int) -> float:
 @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0, 25.0])
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_poisson_truncation_order(mu, tol):
-    k = poisson_truncation_order(mu, tol)
+    k = _truncation_order(mu, math.log(tol))
     assert poisson_tail(mu, k) < tol
     assert k >= mu  # Chernoff bound only bites past the mean
-
-
-def test_poisson_truncation_edges():
-    assert poisson_truncation_order(0.0, 1e-9) == 0
-    with pytest.raises(ValidationError):
-        poisson_truncation_order(-1.0, 1e-9)
-    with pytest.raises(ValidationError):
-        poisson_truncation_order(1.0, 2.0)
 
 
 def chernoff_bounded(mu: float, tol: float, k: int) -> bool:
@@ -76,8 +67,6 @@ def chernoff_bounded(mu: float, tol: float, k: int) -> bool:
 
 def linear_truncation_order(mu: float, tol: float) -> int:
     """Reference: walk one step at a time up from ceil(mu) to the first bounded order."""
-    if mu == 0:
-        return 0
     k = max(1, math.ceil(mu))
     while not chernoff_bounded(mu, tol, k):
         k += 1
@@ -94,16 +83,14 @@ def test_truncation_order_matches_linear_walk():
     pairs += [(10 ** rng.uniform(-9, 6), 10 ** rng.uniform(-16, math.log10(0.5)))
               for _ in range(3000)]
     for mu, tol in pairs:
-        assert poisson_truncation_order(mu, tol) == linear_truncation_order(mu, tol), (mu, tol)
-        assert shock_model._truncation_order(mu, math.log(tol)) == poisson_truncation_order(
-            mu, tol), (mu, tol)
+        assert _truncation_order(mu, math.log(tol)) == linear_truncation_order(mu, tol), (mu, tol)
 
 
 # the bound holds at the search's start at 1e8 (it walks down) but, by rounding, not at
 # 1e12 (it doubles up and bisects)
 @pytest.mark.parametrize("mu", [1e8, 1e12])
 def test_truncation_order_is_minimal_at_large_mean(mu):
-    K = poisson_truncation_order(mu, 1e-12)
+    K = _truncation_order(mu, math.log(1e-12))
     assert chernoff_bounded(mu, 1e-12, K)
     assert not chernoff_bounded(mu, 1e-12, K - 1)
 
@@ -115,8 +102,8 @@ def test_survival_is_a_survival_function(seed, mid_mass, lam):
     q = (random_mid_mass if mid_mass else random_unit_support)(random.Random(seed))
     params = ShockModelParams(lam=lam)
     grid = [k / 4 for k in range(41)]
-    t_seq = tail_sequence(q, poisson_truncation_order(float(params.lam) * grid[-1],
-                                                      params.series_tol))
+    t_seq = tail_sequence(q, _truncation_order(float(params.lam) * grid[-1],
+                                               math.log(params.series_tol)))
     vals = [survival(t_seq, params, t) for t in grid]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b <= a + 2 * params.series_tol for a, b in zip(vals, vals[1:]))
@@ -186,8 +173,6 @@ def test_non_finite_times_are_refused(bad):
         sdfr_skeleton_check(t_seq, params, bad, 2)
     with pytest.raises(ValidationError, match="finite"):
         exp_mixture_survival(point_mass(1), bad)
-    with pytest.raises(ValidationError, match="finite"):
-        poisson_truncation_order(bad, 1e-12)
     with pytest.raises(ValidationError, match="lam"):
         ShockModelParams(lam=bad)
 
@@ -341,7 +326,7 @@ def test_skeleton_curve_is_survival_point_by_point(table, as_float, lam, n_point
             break
         mu = float(params.lam) * (n * delta)
         if mu:
-            K = poisson_truncation_order(mu, params.series_tol)
+            K = _truncation_order(mu, math.log(params.series_tol))
             assert v == in_order_series(t_seq.floats, mu, K), (n, mu)
         want.append(v)
     got = refused_or_value(shock_model._curve, t_seq, params, (n * delta for n in range(n_points)))
