@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -229,7 +230,10 @@ def skeleton(a, q):
 
 
 def simulate(a, q):
-    """Seeded Monte Carlo against the analytic curves."""
+    """Seeded Monte Carlo against the analytic curves. No simulator calls BLAS, so the
+    OpenBLAS that numpy loads starts one thread, not one per core, unless the caller's
+    environment names a count; a program that imports the library keeps its own."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if a.mode == "failure":
         params = sp.ShockModelParams(lam=sp.parse_number(a.lam),
                                      time_grid=tuple(_parse_grid(a.t, "t")))

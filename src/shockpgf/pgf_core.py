@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -63,6 +63,8 @@ _WEIGHTS = (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.139
             0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
 _MAX_DEPTH = 48
 _RULE = tuple(zip(_NODES, _WEIGHTS))
+_RECENT_SIZE = 32
+_recent: OrderedDict = OrderedDict()  # ``pgf_eval``'s (id(q), type(z), z) -> (q, phi)
 
 
 def _panel(g: Callable[[float, float], float], a: float, b: float) -> float:
@@ -111,8 +113,20 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
     The kernel's closed form on [lo, hi), (hi-lo) - (c/z)*log1p(z*(hi-lo)/(c+z*lo)) with
     c = 1-z, cancels as z -> 0 (relative error 1e-11 at z = 1e-6), and on Q = 1/4 at 1/2
     plus density 1 on [0, 3/4) it moves phi by up to 7e-15, so quadrature stays.
+
+    The last ``_RECENT_SIZE`` values are kept in ``_recent``, keyed by (id(q), type(z), z)
+    and dropped oldest first, so a report that reads phi at the same point again (the
+    bounds, the resistance g.f., the transform and its bounds) integrates it once. A kept
+    entry holds q, so no other law can take its id; the key has the law's identity, not
+    its value, because a law and its float copy are equal but give different kinds of
+    value, and z's type, because 1/2 and 0.5 are equal but give a Fraction and a float on
+    an exact law. A hit returns the kept object; a refusal is not kept. Each step on the
+    table is one call into C, so threads share it without a lock.
     """
     z = require_positive(z, "evaluation point z", 1)
+    key = (id(q), type(z), z)
+    if (hit := _recent.get(key)) is not None:
+        return hit[1]
     zf = float(z)
     c = 1 - zf
     live = q._live_segments  # float (lo, hi, density), converted once per law
@@ -133,6 +147,9 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
         val += d * _quadrature(g, lo, hi, seg_tol / d)
     if not is_exact(val):
         val = min(max(val, 0.0), 1.0)
+    _recent[key] = q, val
+    if len(_recent) > _RECENT_SIZE:
+        _recent.popitem(last=False)
     return val
 
 

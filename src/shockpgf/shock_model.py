@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .errors import NumericError, ValidationError
@@ -49,9 +50,13 @@ class ShockModelParams(Record):
             raise ValidationError("time grid must be strictly increasing")
 
 
+@lru_cache(maxsize=256)
 def _truncation_order(mu: float, log_tol: float) -> int:
     """Smallest K whose Poisson(mu) mass beyond K is below tol = exp(log_tol), for mu > 0
-    and log_tol < 0.
+    and log_tol < 0. The order depends on the two floats alone, and the same mu = lam*t
+    comes back for every table on one time grid and lam (a skeleton's n*delta*lam, the
+    exact and the float tails of one law, each law at that lam), so the last 256 orders
+    are kept.
 
     Uses the Chernoff bound P(X >= m) <= exp(-mu) * (e*mu/m)**m, valid for
     m > mu, so the returned order is conservative. The exponent falls

@@ -237,3 +237,35 @@ def test_gauss_legendre_literals_are_numpys_rule():
     nodes, weights = np.polynomial.legendre.leggauss(15)
     assert _NODES == tuple(map(float, nodes))
     assert _WEIGHTS == tuple(map(float, weights))
+
+
+# Runs simulate through the CLI, or the simulator through the library, in a fresh
+# interpreter, and prints OPENBLAS_NUM_THREADS as it stands afterwards.
+BLAS_THREADS_AFTER = """
+import os, sys
+import shockpgf
+if sys.argv[1] == "cli":
+    from shockpgf.cli import main
+    assert main(["simulate", "--dist", sys.argv[2], "--n", "10"]) == 0
+else:
+    shockpgf.simulate_failure_times(shockpgf.point_mass("1/2"),
+                                    shockpgf.ShockModelParams(1, time_grid=(1.0,)), 10, 1)
+assert "numpy" in sys.modules
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("how, preset, after", [
+    ("cli", "3", "3"),  # the caller's own count wins
+    ("cli", None, "1"),  # no simulator calls BLAS, so its pool is one thread
+    ("library", None, "None"),  # a program that imports the library keeps its setting
+])
+def test_simulate_holds_openblas_to_one_thread_unless_told(how, preset, after):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    res = subprocess.run([sys.executable, "-c", BLAS_THREADS_AFTER, how, HALF_ATOM], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == after

@@ -18,6 +18,7 @@ from shockpgf import (
     Segment,
     exp_mixture_survival,
     expected_shocks,
+    laplace,
     laplace_order_bounds,
     pgf_bounds,
     pgf_eval,
@@ -27,7 +28,7 @@ from shockpgf import (
 from shockpgf.errors import NumericError
 from shockpgf.families import random_mid_mass, random_unit_support, random_with_mass_beyond_two
 from shockpgf.measures import integrate, is_exact, parse_number
-from shockpgf.pgf_core import _MAX_DEPTH, _NODES, _WEIGHTS
+from shockpgf.pgf_core import _MAX_DEPTH, _NODES, _WEIGHTS, _recent
 
 mp.mp.dps = 40
 
@@ -204,6 +205,10 @@ def _ref_pgf_bounds(q, z):
     return PgfBounds(z, lower, phi, upper, bool(mean_y <= 1), mean_y, mean_shocks)
 
 
+def _ref_laplace(q, lam, s):
+    return _ref_pgf_eval(q, lam / (lam + s))
+
+
 def _ref_laplace_order_bounds(q, lam, s):
     b = _ref_pgf_bounds(q, lam / (lam + s))
     return LaplaceOrderBounds(s, lam, b.lower, b.phi, b.upper, b.upper_is_geometric)
@@ -236,17 +241,19 @@ _unit = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
        as_float=st.booleans(), z=_unit, lam=st.sampled_from((F(1, 2), 1, 2.5)),
        s=st.one_of(st.floats(1e-3, 1e3), st.fractions(F(1, 100), 100, max_denominator=100)))
 def test_float_reports_equal_the_per_node_reference_bit_for_bit(seed, kind, as_float, z, lam, s):
-    """pgf_eval, resistance_gf, pgf_bounds and laplace_order_bounds return the reference's
-    bits: on exact laws, float copies, atoms-only and segments-only laws, at float and exact
-    z, both when the law's cached facts are still empty and once they are filled."""
+    """pgf_eval, resistance_gf, pgf_bounds, laplace and laplace_order_bounds return the
+    reference's bits: on exact laws, float copies, atoms-only and segments-only laws, at
+    float and exact z, both when the law's cached facts and ``pgf_eval``'s table of recent
+    values are still empty and once they are filled."""
     q = _part(_family_law(seed), kind)
     if q is None:
         return
     if as_float:
         q = _float_copy(q)
     lam, s = parse_number(lam), parse_number(s)
+    _recent.clear()
     cases = ((pgf_eval, _ref_pgf_eval, (z,)), (resistance_gf, _ref_resistance_gf, (z,)),
-             (pgf_bounds, _ref_pgf_bounds, (z,)),
+             (pgf_bounds, _ref_pgf_bounds, (z,)), (laplace, _ref_laplace, (lam, s)),
              (laplace_order_bounds, _ref_laplace_order_bounds, (lam, s)))
     for fn, ref, args in cases * 2:
         got, want = fn(q, *args), ref(q, *args)

@@ -86,6 +86,18 @@ def test_truncation_order_matches_linear_walk():
         assert _truncation_order(mu, math.log(tol)) == linear_truncation_order(mu, tol), (mu, tol)
 
 
+def test_a_kept_truncation_order_is_the_order_the_search_gives():
+    """The orders are kept per (mu, log_tol); a kept one, read back after 300 others have
+    pushed some out of the 256 kept, is the uncached search's."""
+    rng = random.Random(27)
+    pairs = [(10 ** rng.uniform(-6, 9), math.log(10 ** rng.uniform(-16, -1))) for _ in range(300)]
+    pairs += [(mu * 2, log_tol) for mu, log_tol in pairs[:20]] + [(0.5, math.log(1e-12))] * 3
+    for _ in range(2):
+        for mu, log_tol in pairs:
+            assert _truncation_order(mu, log_tol) == _truncation_order.__wrapped__(mu, log_tol)
+    assert _truncation_order.cache_info().currsize <= 256
+
+
 # the bound holds at the search's start at 1e8 (it walks down) but, by rounding, not at
 # 1e12 (it doubles up and bisects)
 @pytest.mark.parametrize("mu", [1e8, 1e12])
