@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 from .errors import NumericError, ValidationError
 from .measures import (Atom, MASS_TOL, MixingDistribution, Num, Record, Segment, csv_text,
@@ -101,6 +104,11 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     The weights run by the recurrence w_k = w_{k-1} * mu/k from exp(-mu),
     except where exp(-mu) is subnormal or zero (mu past about 708): there
     each weight is formed in log space and the terms are summed with fsum.
+    The weights depend on mu = lam*t and the order alone, so they are kept
+    by (mu, K) in ``_weight_tables``, within 8 MiB, and a later series is
+    one multiply-add per term; a kept weight is the float the recurrence or
+    the log-space formula gave, and the terms are added in the same order,
+    so a kept table gives the bits of a fresh one.
     The table's ``violation`` (exact tails as rationals, before rounding) and
     ``floats`` are cached on it; a skeleton reads them once per curve.
     """
@@ -109,9 +117,9 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
 
 def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
     """``survival`` at each time in turn, refusing as it would at the first time that
-    fails; the table is validated and its floats read once."""
+    fails; the table is validated and its floats, its order and log(series_tol) read once."""
     require_tail(t_seq)
-    u, lam, curve = t_seq.floats, float(params.lam), []
+    u, lam, have, log_tol, curve = t_seq.floats, float(params.lam), t_seq.K, None, []
     for t in times:
         t = require_nonnegative(t, "time t={}")
         mu = lam * t
@@ -120,29 +128,85 @@ def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
             continue
         if mu == math.inf:
             raise ValidationError(f"lam*t at lam={params.lam} and t={t} overflows to inf")
-        K = _truncation_order(mu, math.log(params.series_tol))
-        if K > t_seq.K:
+        if log_tol is None:  # at the first mu > 0: a curve at t = 0 alone takes no log
+            log_tol = math.log(params.series_tol)
+        K = _truncation_order(mu, log_tol)
+        if K > have:
             raise ValidationError(f"tail sequence too short: series at t={t} needs order {K}, "
-                                  f"have {t_seq.K}")
+                                  f"have {have}")
         curve.append(_series(u, mu, K))
     return curve
 
 
 def _series(u: tuple[float, ...], mu: float, K: int) -> float:
     """sum_{k <= K} u_k e^{-mu} mu^k/k!, clamped to [0, 1], for mu > 0 and u_0 = 1."""
+    m, w = _weight_tables.get(mu, K)
+    if m:
+        # fsum rounds the exact sum once, so the order leaves the bits alone; from the
+        # largest terms (k near mu) outward it keeps few partials and runs about 16x faster
+        acc = math.fsum(map(mul, u[m:K + 1] + u[m - 1::-1], w))
+    else:
+        acc = 0.0
+        for a, b in zip(u, w):
+            acc += a * b
+    return min(max(acc, 0.0), 1.0)
+
+
+def _poisson_weights(mu: float, K: int) -> tuple[int, tuple[float, ...]]:
+    """(m, w): the weights e^{-mu} mu^k/k! for k <= K in the order ``_series`` reads them,
+    and where that order starts. m = 0: k = 0..K by the recurrence from exp(-mu). Where
+    exp(-mu) is below the smallest normal float, m = int(mu), at least 708, and each weight
+    is formed in log space, k = m..K and then m-1 down to 0."""
     w = math.exp(-mu)
     if w < sys.float_info.min:
-        log_mu = math.log(mu)
-        # fsum rounds the exact sum once, so the order leaves the bits alone; from the
-        # largest terms (k near mu) outward it keeps few partials and runs about 3x faster
-        acc = math.fsum(u[k] * math.exp(k * log_mu - mu - math.lgamma(k + 1))
-                        for k in chain(range(int(mu), K + 1), reversed(range(int(mu)))))
-    else:
-        acc = u[0] * w
-        for k in range(1, K + 1):
-            w *= mu / k
-            acc += u[k] * w
-    return min(max(acc, 0.0), 1.0)
+        log_mu, m = math.log(mu), int(mu)
+        return m, tuple(math.exp(k * log_mu - mu - math.lgamma(k + 1))
+                        for k in chain(range(m, K + 1), reversed(range(m))))
+    weights = [w]
+    for k in range(1, K + 1):
+        w *= mu / k
+        weights.append(w)
+    return 0, tuple(weights)
+
+
+#: Kept tables cost one 32-byte slot a weight (a float and its tuple slot) and _TABLE_SLOTS
+#: for the key, the entry and the tuple's header (150 to 350 bytes measured by tracemalloc).
+_TABLE_SLOTS = 16
+
+
+class _WeightTables:
+    """``_poisson_weights`` kept by (mu, K), the least recently used dropped first so that
+    at most ``slots`` 32-byte slots are held; a table over a sixteenth of them is built for
+    its call and not kept. A hit is two calls into C, each atomic, so it takes no lock; one
+    lock guards the insertion and the count of slots, not the build: two threads may build
+    one table, and the first to finish keeps it."""
+
+    __slots__ = ("slots", "used", "tables", "lock")
+
+    def __init__(self, slots: int):
+        self.slots, self.used, self.tables, self.lock = slots, 0, OrderedDict(), threading.Lock()
+
+    def get(self, mu: float, K: int) -> tuple[int, tuple[float, ...]]:
+        key = (mu, K)
+        if (kept := self.tables.get(key)) is not None:
+            try:
+                self.tables.move_to_end(key)
+            except KeyError:  # another thread dropped it since the get
+                pass
+            return kept
+        kept = _poisson_weights(mu, K)
+        cost = len(kept[1]) + _TABLE_SLOTS
+        if cost <= self.slots >> 4:
+            with self.lock:
+                if key not in self.tables:
+                    self.tables[key] = kept
+                    self.used += cost
+                    while self.used > self.slots:
+                        self.used -= len(self.tables.popitem(last=False)[1][1]) + _TABLE_SLOTS
+        return kept
+
+
+_weight_tables = _WeightTables(1 << 18)  # 8 MiB; a table of up to 16368 weights is kept
 
 
 def laplace(q: MixingDistribution, lam, s) -> Num:

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -38,7 +40,8 @@ from shockpgf import (
 )
 from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
-from shockpgf.shock_model import _GUIDE, _guide_table, _invert_tail, _truncation_order
+from shockpgf.shock_model import (_GUIDE, _TABLE_SLOTS, _WeightTables, _guide_table,
+                                  _invert_tail, _poisson_weights, _truncation_order)
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -343,6 +346,134 @@ def test_skeleton_curve_is_survival_point_by_point(table, as_float, lam, n_point
         want.append(v)
     got = refused_or_value(shock_model._curve, t_seq, params, (n * delta for n in range(n_points)))
     assert got == want
+
+
+def fresh_weight_tables(monkeypatch, slots=1 << 18):
+    """An empty table of kept Poisson weights in place of the module's, holding ``slots``;
+    0 keeps none, so every series builds its weights for the call."""
+    tables = _WeightTables(slots)
+    monkeypatch.setattr(shock_model, "_weight_tables", tables)
+    return tables
+
+
+SERIES_TABLES = {
+    "exact": tail_sequence(CE, 220),
+    "float": TailSequence.from_values(tail_sequence(random_unit_support(random.Random(5)),
+                                                    220).floats),
+    "stress": CURVE_TABLES["stress"],
+    "stress-float": TailSequence.from_values(CURVE_TABLES["stress"].floats),
+    "harmonic": TailSequence.from_values(1 / (k + 1) for k in range(1500)),
+}
+# exp(-mu) is normal up to 708 (the recurrence) and subnormal or 0.0 from 708.5 (log space)
+LINEAR_MEANS = (0.25, 1.0, 7.5, 39.0, 150.0, 500.0, 708.0)
+LOG_MEANS = (708.5, 740.0, 750.0, 800.0, 900.0, 1000.0, 1200.0)
+
+
+@pytest.mark.parametrize("table", sorted(SERIES_TABLES))
+def test_kept_weights_give_the_bits_of_fresh_ones(table, monkeypatch):
+    """A series read from kept weights equals, by == and repr, one whose weights were built
+    for the call and the series as first written, in both branches of the weights."""
+    assert math.exp(-LINEAR_MEANS[-1]) >= sys.float_info.min > math.exp(-LOG_MEANS[0])
+    t_seq, params = SERIES_TABLES[table], ShockModelParams(lam=1)
+    means = LINEAR_MEANS + LOG_MEANS
+    fresh_weight_tables(monkeypatch, 0)
+    cold = [refused_or_value(survival, t_seq, params, mu) for mu in means]
+    kept = fresh_weight_tables(monkeypatch)
+    first = [refused_or_value(survival, t_seq, params, mu) for mu in means]
+    warm = [refused_or_value(survival, t_seq, params, mu) for mu in means]
+    assert warm == first == cold and repr(warm) == repr(first) == repr(cold)
+    read = [(mu, v) for mu, v in zip(means, warm) if not isinstance(v, tuple)]
+    assert len(kept.tables) == len(read) >= 4
+    for mu, v in read:
+        assert v == in_order_series(t_seq.floats, mu, _truncation_order(mu, math.log(1e-12)))
+
+
+def test_kept_weights_stay_within_their_bound(monkeypatch):
+    """2000 distinct means out to lam*t = 300 need about 1.5 times the 2**18 slots of the
+    bound; the least recently used tables go, and what stays holds at most 32 bytes a slot."""
+    kept = fresh_weight_tables(monkeypatch)
+    t_seq, params = SERIES_TABLES["harmonic"], ShockModelParams(lam=1)
+    means = [0.15 * (i + 1) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        for mu in means:
+            survival(t_seq, params, mu)
+        assert kept.used == sum(len(w) + _TABLE_SLOTS for _, w in kept.tables.values())
+        assert kept.slots - 400 < kept.used <= kept.slots
+        assert next(reversed(kept.tables))[0] == means[-1]
+        full = tracemalloc.get_traced_memory()[0]
+        kept.tables.clear()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= 32 * kept.slots
+
+
+def test_a_table_over_a_sixteenth_of_the_bound_is_not_kept():
+    kept = _WeightTables(1 << 10)  # 64 slots a table: up to 48 weights
+    small = kept.get(2.0, 19)
+    assert kept.get(39.0, 93) == _poisson_weights(39.0, 93)
+    assert kept.get(1.0, 15) == _poisson_weights(1.0, 15) and kept.get(2.0, 19) is small
+    assert list(kept.tables) == [(1.0, 15), (2.0, 19)]  # least recently used first
+    assert kept.used == 16 + 20 + 2 * _TABLE_SLOTS
+
+
+def no_weights(mu, K):
+    raise AssertionError(f"built {K + 1} weights for a refused series")
+
+
+@pytest.mark.parametrize("lam, t, message", [
+    (1, 1e12, r"tail sequence too short: series at t=1000000000000\.0 needs order \d+, have 199"),
+    (2.5, 1e308, r"lam\*t at lam=2\.5 and t=1e\+308 overflows to inf"),
+])
+def test_a_refused_series_builds_no_weights(lam, t, message, monkeypatch):
+    kept = fresh_weight_tables(monkeypatch)
+    monkeypatch.setattr(shock_model, "_poisson_weights", no_weights)
+    t_seq = TailSequence.from_values(F(1, k + 1) for k in range(200))
+    with pytest.raises(ValidationError, match=message):
+        survival(t_seq, ShockModelParams(lam=lam), t)
+    assert not kept.tables and kept.used == 0
+
+
+def test_four_threads_give_the_serial_series(monkeypatch):
+    """8 tables at 40 means share 40 weight tables, more than the 2**14 slots hold, so the
+    threads keep evicting each other's while they read; every value is the serial one."""
+    harmonic = [F(1, k + 1) for k in range(1500)]
+    tables = [SERIES_TABLES[name] for name in ("exact", "float", "stress", "stress-float")]
+    tables += [TailSequence.from_values(harmonic), TailSequence.from_values(map(float, harmonic)),
+               tail_sequence(random_mid_mass(random.Random(8)), 300),
+               TailSequence.from_values(map(float, harmonic[:400]))]
+    params = ShockModelParams(lam=1)
+    tasks = [(i, 20.0 + 22.0 * j) for i in range(len(tables)) for j in range(40)]  # to 878
+    fresh_weight_tables(monkeypatch, 0)
+    serial = {(i, mu): repr(refused_or_value(survival, tables[i], params, mu)) for i, mu in tasks}
+    kept = fresh_weight_tables(monkeypatch, 1 << 14)
+    got, errors = [], []
+
+    def work(seed):
+        order = tasks * 2
+        random.Random(seed).shuffle(order)
+        try:
+            got.extend(((i, mu), repr(refused_or_value(survival, tables[i], params, mu)))
+                       for i, mu in order)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(got) == 4 * 2 * len(tasks)
+    assert all(v == serial[key] for key, v in got)
+    assert kept.used == sum(len(w) + _TABLE_SLOTS for _, w in kept.tables.values()) <= kept.slots
 
 
 def invert(tail, u, model, ratio):
