@@ -121,7 +121,9 @@ def pgf_eval(q: MixingDistribution, z) -> Num:
     its value, because a law and its float copy are equal but give different kinds of
     value, and z's type, because 1/2 and 0.5 are equal but give a Fraction and a float on
     an exact law. A hit returns the kept object; a refusal is not kept. Each step on the
-    table is one call into C, so threads share it without a lock.
+    table is one call into C, so threads share it without a lock. ``functools.lru_cache``
+    would key by equality, so a law and its float copy would read each other's value, and
+    it would hash the law on every call of every float report.
     """
     z = require_positive(z, "evaluation point z", 1)
     key = (id(q), type(z), z)

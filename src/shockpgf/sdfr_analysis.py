@@ -18,7 +18,7 @@ from operator import eq, floordiv, gt, le, mul, sub
 
 from .errors import ValidationError
 from .measures import (MixingDistribution, Num, Record, csv_text, is_exact, jsonable,
-                       parse_number, require_int, require_positive)
+                       mass_on, parse_number, require_int, require_positive)
 from .pgf_core import TailSequence, kernel, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
@@ -147,24 +147,15 @@ class SupportClassification(Record):
 
 
 def classify_support(q: MixingDistribution) -> SupportClassification:
-    """Split the mass of q at 1 and 2, in one pass over atoms and then segments, and name
-    the resulting regime. Each mass takes ``mass_on``'s addends on its interval in order.
+    """Split the mass of q at 1 and 2 with ``mass_on``, and name the resulting regime.
 
     Mass at or beyond 2 rules the mixture out as a p.g.f. outright; support
     inside (0, 1] makes the tails completely monotone; mass strictly
     between 1 and 2 is the undecided middle ground where the mixture may or
     may not be a p.g.f.
     """
-    m = [0, 0, 0]  # m01, m12, m2
-    for a in q.atoms:
-        m[(a.y > 1) + (a.y >= 2)] += a.p
-    for s in q.segments:
-        if s.lo < 1:
-            m[0] += s.density * (min(1, s.hi) - max(0, s.lo))
-        if s.lo < 2 and s.hi > 1:
-            m[1] += s.density * (min(2, s.hi) - max(1, s.lo))
-        if s.hi > 2:
-            m[2] += s.density * (s.hi - max(2, s.lo))
+    m = (mass_on(q, 0, 1, include_hi=True), mass_on(q, 1, 2),
+         mass_on(q, 2, math.inf, include_lo=True))
     verdict = (VERDICT_NOT_PGF if m[2] > 0 else VERDICT_UNIT_SUPPORT if m[1] == 0
                else VERDICT_CANDIDATE)
     return SupportClassification(verdict, *m)

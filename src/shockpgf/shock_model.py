@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -49,6 +47,8 @@ class ShockModelParams(Record):
         super().__init__(require_positive(lam, "arrival rate lam"),
                          require_positive(series_tol, "series_tol", 1),
                          tuple(require_nonnegative(t, "time grid entries") for t in time_grid))
+        if not float(self.series_tol):  # the series reads log(series_tol) as a float
+            raise ValidationError("series_tol rounds to 0.0 as a float (below about 2.5e-324)")
         if any(b <= a for a, b in zip(self.time_grid, self.time_grid[1:])):
             raise ValidationError("time grid must be strictly increasing")
 
@@ -104,11 +104,12 @@ def survival(t_seq: TailSequence, params: ShockModelParams, t) -> float:
     The weights run by the recurrence w_k = w_{k-1} * mu/k from exp(-mu),
     except where exp(-mu) is subnormal or zero (mu past about 708): there
     each weight is formed in log space and the terms are summed with fsum.
-    The weights depend on mu = lam*t and the order alone, so they are kept
-    by (mu, K) in ``_weight_tables``, within 8 MiB, and a later series is
-    one multiply-add per term; a kept weight is the float the recurrence or
-    the log-space formula gave, and the terms are added in the same order,
-    so a kept table gives the bits of a fresh one.
+    The weights depend on mu = lam*t and the order alone, so the last 128
+    tables of fewer than 2032 weights are kept by (mu, K) in ``_kept_weights``,
+    within 8 MiB, and a later series is one multiply-add per term; a kept
+    weight is the float the recurrence or the log-space formula gave, and
+    the terms are added in the same order, so a kept table gives the bits of
+    a fresh one.
     The table's ``violation`` (exact tails as rationals, before rounding) and
     ``floats`` are cached on it; a skeleton reads them once per curve.
     """
@@ -140,7 +141,7 @@ def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
 
 def _series(u: tuple[float, ...], mu: float, K: int) -> float:
     """sum_{k <= K} u_k e^{-mu} mu^k/k!, clamped to [0, 1], for mu > 0 and u_0 = 1."""
-    m, w = _weight_tables.get(mu, K)
+    m, w = (_kept_weights if K < 2032 else _poisson_weights)(mu, K)
     if m:
         # fsum rounds the exact sum once, so the order leaves the bits alone; from the
         # largest terms (k near mu) outward it keeps few partials and runs about 16x faster
@@ -169,44 +170,10 @@ def _poisson_weights(mu: float, K: int) -> tuple[int, tuple[float, ...]]:
     return 0, tuple(weights)
 
 
-#: Kept tables cost one 32-byte slot a weight (a float and its tuple slot) and _TABLE_SLOTS
-#: for the key, the entry and the tuple's header (150 to 350 bytes measured by tracemalloc).
-_TABLE_SLOTS = 16
-
-
-class _WeightTables:
-    """``_poisson_weights`` kept by (mu, K), the least recently used dropped first so that
-    at most ``slots`` 32-byte slots are held; a table over a sixteenth of them is built for
-    its call and not kept. A hit is two calls into C, each atomic, so it takes no lock; one
-    lock guards the insertion and the count of slots, not the build: two threads may build
-    one table, and the first to finish keeps it."""
-
-    __slots__ = ("slots", "used", "tables", "lock")
-
-    def __init__(self, slots: int):
-        self.slots, self.used, self.tables, self.lock = slots, 0, OrderedDict(), threading.Lock()
-
-    def get(self, mu: float, K: int) -> tuple[int, tuple[float, ...]]:
-        key = (mu, K)
-        if (kept := self.tables.get(key)) is not None:
-            try:
-                self.tables.move_to_end(key)
-            except KeyError:  # another thread dropped it since the get
-                pass
-            return kept
-        kept = _poisson_weights(mu, K)
-        cost = len(kept[1]) + _TABLE_SLOTS
-        if cost <= self.slots >> 4:
-            with self.lock:
-                if key not in self.tables:
-                    self.tables[key] = kept
-                    self.used += cost
-                    while self.used > self.slots:
-                        self.used -= len(self.tables.popitem(last=False)[1][1]) + _TABLE_SLOTS
-        return kept
-
-
-_weight_tables = _WeightTables(1 << 18)  # 8 MiB; a table of up to 16368 weights is kept
+#: The last 128 weight tables of fewer than 2032 weights, by (mu, K): at most 8 MiB of
+#: 32-byte slots (a float and its tuple slot). ``lru_cache`` is thread-safe; two threads
+#: may build one table, and both builds hold the same floats.
+_kept_weights = lru_cache(maxsize=128)(_poisson_weights)
 
 
 def laplace(q: MixingDistribution, lam, s) -> Num:

@@ -108,8 +108,8 @@ def test_exact_command_runs_without_numpy():
 
 
 # Runs the CLI in a fresh interpreter, then lists on stderr's last line the library modules
-# it loaded (``shockpgf.*`` but the CLI itself), and numpy, click, dataclasses, inspect and
-# typing when they were loaded.
+# it loaded (``shockpgf.*`` but the CLI itself), and numpy, click, dataclasses, inspect,
+# typing and threading when they were loaded.
 LOADED_BY = """
 import json, sys
 from shockpgf.cli import main
@@ -117,8 +117,8 @@ try:
     code = main(sys.argv[1:])
 finally:
     names = {m.removeprefix("shockpgf.") for m in sys.modules if m.startswith("shockpgf.")}
-    names = (names - {"cli"}) | ({"numpy", "click", "dataclasses", "inspect", "typing"}
-                                 & set(sys.modules))
+    names = (names - {"cli"}) | ({"numpy", "click", "dataclasses", "inspect", "typing",
+                                  "threading"} & set(sys.modules))
     print(json.dumps(sorted(names)), file=sys.stderr)
 sys.exit(code)
 """
@@ -147,11 +147,12 @@ def test_each_command_loads_only_what_it_calls(case):
     """The CLI reads the library through the package, so only simulate loads numpy, and
     --version or an unreadable --dist loads no library module but ``errors``. No command
     loads click or dataclasses, and none but simulate, whose numpy imports it, loads
-    inspect. ``site`` may load typing, so this run does not count it."""
+    inspect. ``site`` may load typing and threading (a ``.pth`` file may import them), so
+    this run does not count them."""
     args, code, modules = LOADS[case]
     res = run_python("-c", LOADED_BY, *args)
     assert res.returncode == code, res.stderr
-    loaded = set(json.loads(res.stderr.splitlines()[-1])) - {"typing"}
+    loaded = set(json.loads(res.stderr.splitlines()[-1])) - {"typing", "threading"}
     assert not {"click", "dataclasses"} & loaded
     assert "inspect" not in loaded or "numpy" in loaded
     assert sorted(loaded - {"inspect"}) == sorted(modules)
@@ -160,7 +161,8 @@ def test_each_command_loads_only_what_it_calls(case):
 @pytest.mark.parametrize("case", sorted(set(LOADS) - {"simulate"}))
 def test_without_site_no_command_loads_typing(case):
     """Under ``python -S`` no ``.pth`` file runs first, so a command that loaded typing,
-    dataclasses or inspect would list it here. simulate needs numpy from site-packages."""
+    threading, dataclasses or inspect would list it here. simulate needs numpy from
+    site-packages."""
     args, code, modules = LOADS[case]
     res = run_python("-S", "-c", LOADED_BY, *args)
     assert res.returncode == code, res.stderr

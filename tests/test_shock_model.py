@@ -40,8 +40,8 @@ from shockpgf import (
 )
 from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
-from shockpgf.shock_model import (_GUIDE, _TABLE_SLOTS, _WeightTables, _guide_table,
-                                  _invert_tail, _poisson_weights, _truncation_order)
+from shockpgf.shock_model import (_GUIDE, _guide_table, _invert_tail, _kept_weights,
+                                  _poisson_weights, _series, _truncation_order)
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -190,6 +190,22 @@ def test_non_finite_times_are_refused(bad):
         exp_mixture_survival(point_mass(1), bad)
     with pytest.raises(ValidationError, match="lam"):
         ShockModelParams(lam=bad)
+
+
+@pytest.mark.parametrize("tol", [F(1, 10**400), "1e-400", F(1, 2**1075)],
+                         ids=["fraction", "decimal-string", "half-the-smallest"])
+def test_a_series_tol_that_rounds_to_zero_is_refused(tol):
+    """The series reads log(series_tol) as a float; 2**-1075 is half the smallest
+    subnormal and rounds to 0.0 by ties-to-even."""
+    with pytest.raises(ValidationError, match=r"series_tol rounds to 0\.0 as a float"):
+        ShockModelParams(1, series_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [5e-324, "5e-324", F(3, 2**1076)],
+                         ids=["float", "decimal-string", "rounds-up"])
+def test_a_series_tol_at_the_smallest_float_is_accepted(tol):
+    params = ShockModelParams(1, series_tol=tol)
+    assert survival(tail_sequence(point_mass("1/2"), 200), params, 1) == 0.6065306597126336
 
 
 def test_laplace_reads_off_the_pgf():
@@ -348,12 +364,10 @@ def test_skeleton_curve_is_survival_point_by_point(table, as_float, lam, n_point
     assert got == want
 
 
-def fresh_weight_tables(monkeypatch, slots=1 << 18):
-    """An empty table of kept Poisson weights in place of the module's, holding ``slots``;
-    0 keeps none, so every series builds its weights for the call."""
-    tables = _WeightTables(slots)
-    monkeypatch.setattr(shock_model, "_weight_tables", tables)
-    return tables
+def cold_value(t_seq, params, t):
+    """``survival`` from an empty table of kept weights, so its weights are built for it."""
+    _kept_weights.cache_clear()
+    return refused_or_value(survival, t_seq, params, t)
 
 
 SERIES_TABLES = {
@@ -370,52 +384,77 @@ LOG_MEANS = (708.5, 740.0, 750.0, 800.0, 900.0, 1000.0, 1200.0)
 
 
 @pytest.mark.parametrize("table", sorted(SERIES_TABLES))
-def test_kept_weights_give_the_bits_of_fresh_ones(table, monkeypatch):
+def test_kept_weights_give_the_bits_of_fresh_ones(table):
     """A series read from kept weights equals, by == and repr, one whose weights were built
     for the call and the series as first written, in both branches of the weights."""
     assert math.exp(-LINEAR_MEANS[-1]) >= sys.float_info.min > math.exp(-LOG_MEANS[0])
     t_seq, params = SERIES_TABLES[table], ShockModelParams(lam=1)
     means = LINEAR_MEANS + LOG_MEANS
-    fresh_weight_tables(monkeypatch, 0)
-    cold = [refused_or_value(survival, t_seq, params, mu) for mu in means]
-    kept = fresh_weight_tables(monkeypatch)
+    cold = [cold_value(t_seq, params, mu) for mu in means]
+    _kept_weights.cache_clear()
     first = [refused_or_value(survival, t_seq, params, mu) for mu in means]
     warm = [refused_or_value(survival, t_seq, params, mu) for mu in means]
     assert warm == first == cold and repr(warm) == repr(first) == repr(cold)
     read = [(mu, v) for mu, v in zip(means, warm) if not isinstance(v, tuple)]
-    assert len(kept.tables) == len(read) >= 4
+    info = _kept_weights.cache_info()
+    assert info.currsize == info.misses == info.hits == len(read) >= 4
     for mu, v in read:
         assert v == in_order_series(t_seq.floats, mu, _truncation_order(mu, math.log(1e-12)))
 
 
-def test_kept_weights_stay_within_their_bound(monkeypatch):
-    """2000 distinct means out to lam*t = 300 need about 1.5 times the 2**18 slots of the
-    bound; the least recently used tables go, and what stays holds at most 32 bytes a slot."""
-    kept = fresh_weight_tables(monkeypatch)
-    t_seq, params = SERIES_TABLES["harmonic"], ShockModelParams(lam=1)
-    means = [0.15 * (i + 1) for i in range(2000)]
+# a table of 2032 weights or more is built for its call and not kept
+CAP = 2032
+LONG_HARMONIC = tuple(1 / (k + 1) for k in range(2400))
+
+
+def test_kept_weights_stay_within_their_bound():
+    """200 distinct tables of 2031 weights, the longest kept, need more than the 128 kept
+    tables; the least recently used go, and what stays holds 32 bytes a weight and at most
+    512 bytes a table for the key, the entry and the tuples' headers."""
+    _kept_weights.cache_clear()
+    means = [0.5 * (i + 1) for i in range(200)]
     tracemalloc.start()
     try:
         for mu in means:
-            survival(t_seq, params, mu)
-        assert kept.used == sum(len(w) + _TABLE_SLOTS for _, w in kept.tables.values())
-        assert kept.slots - 400 < kept.used <= kept.slots
-        assert next(reversed(kept.tables))[0] == means[-1]
+            _series(LONG_HARMONIC, mu, CAP - 1)
+        info = _kept_weights.cache_info()
+        assert info.currsize == 128 and info.misses == 200
         full = tracemalloc.get_traced_memory()[0]
-        kept.tables.clear()
+        _kept_weights.cache_clear()
         held = full - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < held <= 32 * kept.slots
+    assert 128 * CAP * 30 < held <= 128 * (CAP * 32 + 512)
 
 
-def test_a_table_over_a_sixteenth_of_the_bound_is_not_kept():
-    kept = _WeightTables(1 << 10)  # 64 slots a table: up to 48 weights
-    small = kept.get(2.0, 19)
-    assert kept.get(39.0, 93) == _poisson_weights(39.0, 93)
-    assert kept.get(1.0, 15) == _poisson_weights(1.0, 15) and kept.get(2.0, 19) is small
-    assert list(kept.tables) == [(1.0, 15), (2.0, 19)]  # least recently used first
-    assert kept.used == 16 + 20 + 2 * _TABLE_SLOTS
+def test_the_least_recently_used_table_goes_first():
+    _kept_weights.cache_clear()
+    for mu in range(1, 129):
+        _series(LONG_HARMONIC, float(mu), 20)
+    _series(LONG_HARMONIC, 1.0, 20)  # now the most recently used
+    _series(LONG_HARMONIC, 129.0, CAP - 1)  # drops mu = 2
+    before = _kept_weights.cache_info()
+    _series(LONG_HARMONIC, 1.0, 20)
+    assert _kept_weights.cache_info().hits == before.hits + 1
+    _series(LONG_HARMONIC, 2.0, 20)
+    assert _kept_weights.cache_info().misses == before.misses + 1
+
+
+def test_a_table_at_the_cap_is_not_kept():
+    """From 2032 weights on, the series builds its table for the call: the value is the
+    series as first written, and neither the kept tables nor their misses move."""
+    for mu, K in [(1.0, CAP), (39.0, CAP + 7), (1950.0, 2300)]:
+        _kept_weights.cache_clear()
+        _series(LONG_HARMONIC, mu, CAP - 1)
+        assert _series(LONG_HARMONIC, mu, K) == in_order_series(LONG_HARMONIC, mu, K)
+        info = _kept_weights.cache_info()
+        assert info.currsize == info.misses == 1, (mu, K)
+    params = ShockModelParams(lam=1)
+    K = _truncation_order(1950.0, math.log(params.series_tol))
+    assert CAP <= K < len(LONG_HARMONIC)
+    got = survival(TailSequence.from_values(LONG_HARMONIC), params, 1950.0)
+    assert got == in_order_series(LONG_HARMONIC, 1950.0, K)
+    assert _kept_weights.cache_info().misses == 1
 
 
 def no_weights(mu, K):
@@ -427,27 +466,30 @@ def no_weights(mu, K):
     (2.5, 1e308, r"lam\*t at lam=2\.5 and t=1e\+308 overflows to inf"),
 ])
 def test_a_refused_series_builds_no_weights(lam, t, message, monkeypatch):
-    kept = fresh_weight_tables(monkeypatch)
+    """The patch catches a table built for its call; the kept tables hold the original
+    ``_poisson_weights``, so an unchanged ``cache_info`` shows no kept table was built."""
+    _kept_weights.cache_clear()
+    before = _kept_weights.cache_info()
     monkeypatch.setattr(shock_model, "_poisson_weights", no_weights)
     t_seq = TailSequence.from_values(F(1, k + 1) for k in range(200))
     with pytest.raises(ValidationError, match=message):
         survival(t_seq, ShockModelParams(lam=lam), t)
-    assert not kept.tables and kept.used == 0
+    assert _kept_weights.cache_info() == before
 
 
-def test_four_threads_give_the_serial_series(monkeypatch):
-    """8 tables at 40 means share 40 weight tables, more than the 2**14 slots hold, so the
-    threads keep evicting each other's while they read; every value is the serial one."""
+def test_four_threads_give_the_serial_series():
+    """8 tables at 160 means share 160 weight tables, more than the 128 kept, so the
+    threads keep evicting each other's while they read; every value is the serial one,
+    each worked out from an empty table."""
     harmonic = [F(1, k + 1) for k in range(1500)]
     tables = [SERIES_TABLES[name] for name in ("exact", "float", "stress", "stress-float")]
     tables += [TailSequence.from_values(harmonic), TailSequence.from_values(map(float, harmonic)),
                tail_sequence(random_mid_mass(random.Random(8)), 300),
                TailSequence.from_values(map(float, harmonic[:400]))]
     params = ShockModelParams(lam=1)
-    tasks = [(i, 20.0 + 22.0 * j) for i in range(len(tables)) for j in range(40)]  # to 878
-    fresh_weight_tables(monkeypatch, 0)
-    serial = {(i, mu): repr(refused_or_value(survival, tables[i], params, mu)) for i, mu in tasks}
-    kept = fresh_weight_tables(monkeypatch, 1 << 14)
+    tasks = [(i, 20.0 + 5.5 * j) for i in range(len(tables)) for j in range(160)]  # to 894.5
+    serial = {(i, mu): repr(cold_value(tables[i], params, mu)) for i, mu in tasks}
+    _kept_weights.cache_clear()
     got, errors = [], []
 
     def work(seed):
@@ -473,7 +515,8 @@ def test_four_threads_give_the_serial_series(monkeypatch):
     assert not errors
     assert len(got) == 4 * 2 * len(tasks)
     assert all(v == serial[key] for key, v in got)
-    assert kept.used == sum(len(w) + _TABLE_SLOTS for _, w in kept.tables.values()) <= kept.slots
+    info = _kept_weights.cache_info()
+    assert info.currsize == 128 < 160 < info.misses
 
 
 def invert(tail, u, model, ratio):
