@@ -112,13 +112,14 @@ def require_positive(x, what: str, hi: Num = math.inf, closed: bool = False) -> 
 
 
 def require_nonnegative(x, what: str) -> float:
-    """float(x), refused unless 0 <= float(x) < inf; nan, inf and exact values past the
-    float range fail. ``what`` opens the message, and a ``{}`` in it shows x as given."""
+    """float(parse_number(x)), refused unless 0 <= x and float(x) < inf (an exact -1/10**400
+    fails). ``what`` opens the message, and a ``{}`` in it shows x as given."""
+    p = x if type(x) is float else parse_number(x)
     try:
-        v = float(x)
+        v = float(p)
     except OverflowError:  # an exact x past the float range
         v = math.inf
-    if not 0 <= v < math.inf:
+    if not (0 <= p and v < math.inf):
         raise ValidationError(f"{what.format(x)} must be non-negative and finite")
     return v
 
@@ -320,15 +321,6 @@ class MixingDistribution(Record):
 def point_mass(y) -> MixingDistribution:
     """Unit mass at a single location."""
     return MixingDistribution(atoms=(Atom(y, 1),))
-
-
-def uniform_density(lo, hi) -> MixingDistribution:
-    """Uniform density on [lo, hi)."""
-    lo = parse_number(lo)
-    hi = parse_number(hi)
-    if not lo < hi:
-        raise ValidationError(f"uniform endpoints reversed: [{lo}, {hi})")
-    return MixingDistribution(segments=(Segment(lo, hi, 1 / (hi - lo)),))
 
 
 def mix(components: Sequence[tuple[Num, MixingDistribution]]) -> MixingDistribution:

@@ -19,7 +19,7 @@ from operator import eq, floordiv, gt, le, mul, sub
 from .errors import ValidationError
 from .measures import (MixingDistribution, Num, Record, csv_text, is_exact, jsonable,
                        mass_on, parse_number, require_int, require_positive)
-from .pgf_core import TailSequence, kernel, pgf_eval
+from .pgf_core import TailSequence, _kernel, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
 VERDICT_UNIT_SUPPORT = "sdfr_support_in_unit"
@@ -102,8 +102,10 @@ def is_completely_monotone(u, J: int, tol: float = 0) -> tuple[bool, tuple[int, 
     other input is differenced in its own arithmetic, as ``difference_table``
     does: a NaN entry is refused, and a NaN cell (inf - inf) is not below -tol.
     Use tol=0 for exact input; for float input a small tolerance absorbs
-    cancellation noise.
+    cancellation noise. tol is an int, float or Fraction, not a bool.
     """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)):
+        raise ValidationError(f"tolerance {tol!r} must be an int, float or Fraction")
     if not tol >= 0:
         raise ValidationError(f"tolerance {tol} must be non-negative")
     t = _table(u, J)
@@ -190,12 +192,15 @@ def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     The kernel is concave in y, so the mean resistance gives an upper
     bound; it is convex in 1/y, so the mean shock count gives a lower
     bound (zero when that mean diverges). Both are tight together exactly
-    for a point mass at 1. The two means are worked out once per law.
+    for a point mass at 1. The two means are worked out once per law, and the upper curve
+    is ``kernel`` at E[Y] (positive, or 0.0 in floats) from the z that ``pgf_eval`` checked.
     """
     z = parse_number(z)
     phi = pgf_eval(q, z)  # refuses z outside (0, 1)
     mean_y, mean_shocks = q._means
-    upper = kernel(mean_y, z)
+    if not (is_exact(mean_y) or math.isfinite(mean_y)):  # a float segment's hi*hi may overflow
+        raise ValidationError(f"kernel argument y={mean_y} is not finite")
+    upper = _kernel(mean_y, z)
     try:
         lower = 0.0 if mean_shocks == math.inf else z / (z + (1 - z) * mean_shocks)
     except OverflowError:  # a float z against an exact mean past the float range

@@ -22,11 +22,11 @@ from itertools import chain
 from operator import mul
 
 from .errors import NumericError, ValidationError
-from .measures import (Atom, MASS_TOL, MixingDistribution, Num, Record, Segment, csv_text,
-                       integrate, is_exact, mass_on, parse_number, require_int,
-                       require_nonnegative, require_positive)
+from .measures import (Atom, MixingDistribution, Num, Record, Segment, csv_text, integrate,
+                       is_exact, parse_number, require_int, require_nonnegative, require_positive)
 from .pgf_core import TailSequence, pgf_eval, require_tail, tail_sequence
-from .sdfr_analysis import _transform_point, is_completely_monotone
+from .sdfr_analysis import (VERDICT_UNIT_SUPPORT, _transform_point, classify_support,
+                            is_completely_monotone)
 
 _BLOCK = 1 << 14
 _GUIDE = 1 << 14
@@ -120,7 +120,8 @@ def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
     """``survival`` at each time in turn, refusing as it would at the first time that
     fails; the table is validated and its floats, its order and log(series_tol) read once."""
     require_tail(t_seq)
-    u, lam, have, log_tol, curve = t_seq.floats, float(params.lam), t_seq.K, None, []
+    u, lam, have, curve = t_seq.floats, float(params.lam), t_seq.K, []
+    log_tol = math.log(params.series_tol)  # ``ShockModelParams`` refuses a tol that floats to 0
     for t in times:
         t = require_nonnegative(t, "time t={}")
         mu = lam * t
@@ -129,8 +130,6 @@ def _curve(t_seq: TailSequence, params: ShockModelParams, times) -> list[float]:
             continue
         if mu == math.inf:
             raise ValidationError(f"lam*t at lam={params.lam} and t={t} overflows to inf")
-        if log_tol is None:  # at the first mu > 0: a curve at t = 0 alone takes no log
-            log_tol = math.log(params.series_tol)
         K = _truncation_order(mu, log_tol)
         if K > have:
             raise ValidationError(f"tail sequence too short: series at t={t} needs order {K}, "
@@ -199,7 +198,8 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
     Exact at t = 0 for exact g; otherwise atoms give exp(-t*y) and a
     segment [lo, hi) gives exp(-t*lo) * -expm1(-t*(hi-lo)) / t per unit
     density, which does not cancel as t -> 0 the way the difference
-    (exp(-t*lo) - exp(-t*hi)) / t does. For t > 0, scalars past the float range are refused.
+    (exp(-t*lo) - exp(-t*hi)) / t does, and its t -> 0 limit hi - lo where an
+    exact t > 0 floats to 0.0. For t > 0, scalars past the float range are refused.
     """
     t = parse_number(t)
     tf = require_nonnegative(t, "time t={}")
@@ -210,7 +210,8 @@ def exp_mixture_survival(g: MixingDistribution, t) -> Num:
         try:
             val = integrate(g, lambda y: math.exp(-tf * float(y)),
                             lambda lo, hi, d: d * (math.exp(-tf * float(lo))
-                                                   * -math.expm1(-tf * float(hi - lo)) / tf))
+                                                   * -math.expm1(-tf * float(hi - lo)) / tf
+                                                   if tf else float(hi - lo)))
         except OverflowError:  # float() of an exact scalar past the float range
             raise ValidationError("a rate or density lies past the float range") from None
     if not is_exact(val):
@@ -382,16 +383,16 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
 def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> SimulatedCurve:
     """Simulate the first-success count with success chance drawn from q.
 
-    Requires q supported in (0, 1]. Each replicate draws y from q and then
-    a geometric count with success chance y; the empirical mean of z**N is
-    compared with the mixture p.g.f. Block structure, determinism and the
-    refusals before the first draw match ``simulate_failure_times``.
+    Requires q supported in (0, 1] as ``classify_support`` decides, to the last float of
+    mass. Each replicate draws y from q and then a geometric count with success chance y;
+    the empirical mean of z**N is compared with the mixture p.g.f. Block structure,
+    determinism and the refusals before the first draw match ``simulate_failure_times``.
     """
     import numpy as np
     _check_sim_args(n, seed)
-    m = mass_on(q, 0, 1, include_hi=True)
-    if (q.exact and m != 1) or abs(float(m) - 1.0) > MASS_TOL:
-        raise ValidationError(f"support must sit inside (0, 1]; that region holds mass {m}")
+    if (support := classify_support(q)).verdict != VERDICT_UNIT_SUPPORT:
+        raise ValidationError(f"support must sit inside (0, 1]; that region holds mass "
+                              f"{support.m01}")
     zs = [float(require_positive(z, "grid point z", 1)) for z in z_grid]
     if not zs:
         raise ValidationError("z grid must be non-empty")

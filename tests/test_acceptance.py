@@ -14,6 +14,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from shockpgf import (
+    MixingDistribution,
+    Segment,
     ShockModelParams,
     TailSequence,
     counterexample_Q,
@@ -33,7 +35,6 @@ from shockpgf import (
     survival,
     tail_sequence,
     tail_validity,
-    uniform_density,
 )
 from shockpgf.families import (
     random_admissible_params,
@@ -207,7 +208,7 @@ def test_criterion_09_monte_carlo(capsys):
         assert failure_time < 10.0
 
         start = time.perf_counter()
-        definetti = simulate_de_finetti(uniform_density(0, 1),
+        definetti = simulate_de_finetti(MixingDistribution(segments=(Segment(0, 1, 1),)),
                                         ("1/4", "1/2", "3/4"), 100000, 7)
         for z, e, se, a in zip(definetti.grid, definetti.empirical,
                                definetti.std_err, definetti.analytic):

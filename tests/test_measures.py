@@ -40,12 +40,12 @@ from shockpgf import (
     simulate_de_finetti,
     simulate_failure_times,
     tail_sequence,
-    uniform_density,
 )
 from shockpgf.families import random_unit_support
 from shockpgf.pgf_core import _RULE, _quadrature, counterexample_Q, counterexample_params
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
+UNIFORM = MixingDistribution(segments=(Segment(0, 1, 1),))  # density 1 on [0, 1)
 
 
 def test_parse_number_keeps_rationals_exact():
@@ -72,7 +72,7 @@ def test_parse_number_rejects(bad):
 def test_point_mass_and_uniform_constructors():
     q = point_mass("1/2")
     assert q.atoms == (Atom(F(1, 2), F(1)),)
-    u = uniform_density(0, 1)
+    u = MixingDistribution(segments=(Segment(0, 1, 1),))
     assert u.segments[0].density == F(1)
     assert u.total_mass == 1 and u.exact
 
@@ -127,10 +127,8 @@ def test_constructor_parses_every_scalar():
     (lambda: MixingDistribution(segments=(Segment(-1, 1, F(1, 2)),)),
      "segment lower endpoint -1 is negative"),
     (lambda: MixingDistribution.from_json_dict([{"y": 1, "p": 1}]), "must be a JSON object"),
-    (lambda: uniform_density(1, 0), r"uniform endpoints reversed: \[1, 0\)"),
     (lambda: mix([(-1, point_mass(1)), (2, point_mass(2))]), "mixture weight -1 is negative"),
-], ids=["negative-atom", "negative-segment", "not-an-object", "reversed-uniform",
-        "negative-weight"])
+], ids=["negative-atom", "negative-segment", "not-an-object", "negative-weight"])
 def test_measures_refusals(make, reason):
     with pytest.raises(ValidationError, match=reason):
         make()
@@ -149,7 +147,7 @@ def test_counterexample_structure():
 
 
 def test_power_zero_is_total_mass():
-    for q in (CE, point_mass(1), uniform_density(0, 1),
+    for q in (CE, point_mass(1), UNIFORM,
               MixingDistribution(atoms=(Atom(0.3, 0.25), Atom(1.2, 0.75)))):
         v = tail_sequence(q, 0).values[0]
         assert abs(v - 1) <= 1e-12
@@ -159,7 +157,7 @@ def test_power_zero_is_total_mass():
 
 def test_exact_moments():
     assert pgf_bounds(point_mass(1), "1/2").mean_y == 1
-    assert pgf_bounds(uniform_density(0, 1), "1/2").mean_y == F(1, 2)
+    assert pgf_bounds(UNIFORM, "1/2").mean_y == F(1, 2)
     assert pgf_bounds(CE, "1/2").mean_y == F(37, 42)
     assert tail_sequence(CE, 2).values[1:] == (F(5, 42), F(17, 147))
 
@@ -173,18 +171,18 @@ def test_int_built_law_has_exact_mean():
 
 def test_reciprocal_divergence_declared():
     assert expected_shocks(CE) == math.inf
-    assert expected_shocks(uniform_density(0, 1)) == math.inf
+    assert expected_shocks(UNIFORM) == math.inf
     # away from the origin the integral is finite and exact for atoms
     assert expected_shocks(point_mass("1/2")) == 2
-    v = expected_shocks(uniform_density("1/2", 1))
+    v = expected_shocks(MixingDistribution(segments=(Segment("1/2", 1, 2),)))
     assert abs(v - 2 * math.log(2)) < 1e-15
 
 
 def test_exp_decay_closed_form():
     assert abs(exp_mixture_survival(point_mass("1/2"), 3) - math.exp(-1.5)) < 1e-14
-    v = exp_mixture_survival(uniform_density(0, 1), 2.0)
+    v = exp_mixture_survival(UNIFORM, 2.0)
     assert abs(v - (1 - math.exp(-2)) / 2) < 1e-12
-    assert exp_mixture_survival(uniform_density(0, 1), 0) == 1
+    assert exp_mixture_survival(UNIFORM, 0) == 1
 
 
 @pytest.mark.parametrize("spec", [lambda q: tail_sequence(q, 4).values[2],
@@ -194,7 +192,7 @@ def test_exp_decay_closed_form():
                          ids=[f"spec{i}" for i in range(4)])
 @pytest.mark.parametrize("cut", [F(1, 3), F(9, 10)])
 def test_segment_split_invariance(spec, cut):
-    whole = uniform_density(0, 1)
+    whole = UNIFORM
     split = MixingDistribution(
         segments=(Segment(F(0), cut, F(1)), Segment(cut, F(1), F(1)))
     )
@@ -290,7 +288,7 @@ def test_mass_on_additive_over_partition():
 
 
 def test_mix_merges_overlapping_segments():
-    m = mix([(F(1, 2), CE), (F(1, 2), uniform_density(0, 1))])
+    m = mix([(F(1, 2), CE), (F(1, 2), UNIFORM)])
     assert m.exact and m.total_mass == 1
     # segment pieces must not overlap and must reproduce interval masses
     for left, right in zip(m.segments, m.segments[1:]):
@@ -302,8 +300,9 @@ def test_mix_merges_overlapping_segments():
 def test_mix_skips_zero_weights_and_joins_equal_neighbours():
     assert mix([(0, point_mass(2)), (1, point_mass(1))]) == point_mass(1)
     # [0, 1/2) and [1/2, 1) at density 1 each become one segment
-    m = mix([(F(1, 2), uniform_density(0, F(1, 2))), (F(1, 2), uniform_density(F(1, 2), 1))])
-    assert m.segments == uniform_density(0, 1).segments
+    m = mix([(F(1, 2), MixingDistribution(segments=(Segment(0, F(1, 2), 2),))),
+             (F(1, 2), MixingDistribution(segments=(Segment(F(1, 2), 1, 2),)))])
+    assert m.segments == UNIFORM.segments
 
 
 def test_mix_merges_coinciding_atoms():

@@ -37,15 +37,11 @@ from shockpgf import (
     survival,
     tail_sequence,
     tail_validity,
-    uniform_density,
 )
-from shockpgf.families import (
-    random_admissible_params,
-    random_mid_mass,
-    random_unit_support,
-    random_with_mass_beyond_two,
-)
+from shockpgf.families import random_admissible_params, random_unit_support
 from shockpgf.pgf_core import CounterexampleParams, PmfSequence, TailSequence, _lowest, require_tail
+
+from laws import family_law, float_copy
 
 P17 = counterexample_params("1/7", "2/3")
 CE = counterexample_Q(P17)
@@ -175,12 +171,6 @@ def _wide_laws(draw):
     return MixingDistribution(atoms, segments)
 
 
-def _family_law(seed):
-    rng = random.Random(seed)
-    gen = rng.choice((random_unit_support, random_mid_mass, random_with_mass_beyond_two))
-    return gen(rng)
-
-
 # zero entries (atoms at 1/2 and 3/2 cancel at odd k; an atom at 1), negative entries (mass
 # beyond 2), B = 1, and numerators n_k divisible by high powers of B's primes: point masses
 # at 1/2 and 1/3, two halves of one uniform density (n_k = 2**(k+1)), and atoms at 1/3 and
@@ -190,7 +180,7 @@ _REDUCTION_LAWS = (
     point_mass(1),
     point_mass("5/2"),
     MixingDistribution((Atom(F(1), F(1, 2)), Atom(F(2), F(1, 2)))),
-    uniform_density(0, 1),
+    MixingDistribution(segments=(Segment(0, 1, 1),)),
     point_mass("1/2"),
     point_mass("1/3"),
     MixingDistribution((Atom(F(1, 2), F(1, 2)), Atom(F(1, 3), F(1, 2)))),
@@ -200,7 +190,8 @@ _REDUCTION_LAWS = (
     # ends that share a base 1 - y: adjacent pieces of different densities from ``mix``,
     # equal densities across 3/4 (net weight 0), segments ending and starting at 1 (base
     # 0), and an atom at 1 beside them, whose own column stays
-    mix([(F(1, 2), uniform_density(0, "1/2")), (F(1, 2), uniform_density("1/4", "3/4"))]),
+    mix([(F(1, 2), MixingDistribution(segments=(Segment(0, "1/2", 2),))),
+         (F(1, 2), MixingDistribution(segments=(Segment("1/4", "3/4", 2),)))]),
     MixingDistribution(segments=(Segment(F(1, 4), F(3, 4), F(1)), Segment(F(3, 4), F(5, 4), F(1)))),
     MixingDistribution(segments=(Segment(F(1, 2), F(1), F(3, 2)), Segment(F(1), F(2), F(1, 4)))),
     MixingDistribution((Atom(F(1), F(1, 4)),),
@@ -209,7 +200,7 @@ _REDUCTION_LAWS = (
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(_family_law),
+@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(family_law),
                    _wide_laws()),
        K=st.integers(0, 40), data=st.data())
 def test_tail_sequence_matches_integrate_and_hausdorff_moments(q, K, data):
@@ -234,7 +225,7 @@ _tols = st.one_of(st.sampled_from((0, math.inf)), st.fractions(0, 1, max_denomin
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(q=st.one_of(st.sampled_from(_HAND_BUILT), st.integers(0, 10**6).map(_family_law),
+@given(q=st.one_of(st.sampled_from(_HAND_BUILT), st.integers(0, 10**6).map(family_law),
                    _wide_laws()),
        K=st.integers(0, 30), tol=_tols)
 @example(q=_HAND_BUILT[0], K=0, tol=0)
@@ -258,7 +249,7 @@ _PAST_THE_FIRST_STEP = mix([(F(1, 2), point_mass("1/6")), (F(1, 2), point_mass("
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(_family_law),
+@given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS), st.integers(0, 10**6).map(family_law),
                    _wide_laws()),
        K=st.integers(0, 200))
 @example(q=_REDUCTION_LAWS[-1], K=200)
@@ -302,23 +293,13 @@ def test_a_truncation_order_past_a_c_index_is_refused_at_once():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _float_copy(q):
-    """q with every scalar a float, or None when the rounded scalars are refused."""
-    try:
-        return MixingDistribution(tuple(Atom(float(a.y), float(a.p)) for a in q.atoms),
-                                  tuple(Segment(*map(float, (s.lo, s.hi, s.density)))
-                                        for s in q.segments))
-    except ValidationError:
-        return None
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(q=st.one_of(st.sampled_from(_REDUCTION_LAWS + _HAND_BUILT),
-                   st.integers(0, 10**6).map(_family_law), _wide_laws()))
+                   st.integers(0, 10**6).map(family_law), _wide_laws()))
 def test_support_masses_equal_mass_on(q):
     """The one-pass masses are ``mass_on`` on (0, 1], (1, 2) and [2, inf): exactly for an
     exact law, and in value and type for its float copy."""
-    for law in (q, _float_copy(q)):
+    for law in (q, float_copy(q)):
         if law is not None:
             c = classify_support(law)
             ref = (mass_on(law, 0, 1, include_hi=True), mass_on(law, 1, 2),

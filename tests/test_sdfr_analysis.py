@@ -23,6 +23,7 @@ from shockpgf import (
     difference_table,
     expected_shocks,
     is_completely_monotone,
+    kernel,
     laplace,
     laplace_order_bounds,
     mass_on,
@@ -32,13 +33,14 @@ from shockpgf import (
     point_mass,
     tail_sequence,
     tail_validity,
-    uniform_density,
 )
 from shockpgf.families import (
     random_mid_mass,
     random_unit_support,
     random_with_mass_beyond_two,
 )
+
+from laws import family_law, float_copy
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -115,6 +117,15 @@ def test_cm_rejects_nan_tolerance():
     # every comparison with NaN is false, so a NaN tolerance would pass any sequence
     with pytest.raises(ValidationError, match="tolerance"):
         is_completely_monotone((F(1), F(2)), 1, math.nan)
+
+
+@pytest.mark.parametrize("tol, message", [
+    *((bad, "must be an int, float or Fraction") for bad in ("abc", None, True, False, "0", [0])),
+    *((bad, f"^tolerance {bad} must be non-negative$") for bad in (-1, F(-1, 2), math.nan))])
+def test_cm_refuses_a_tolerance_that_is_not_a_non_negative_number(tol, message):
+    """A bool is not a number here, as it is no other number of the package."""
+    with pytest.raises(ValidationError, match=message):
+        is_completely_monotone((F(1), F(1, 2)), 1, tol)
 
 
 def test_cm_check_reads_past_a_nan_cell():
@@ -257,7 +268,7 @@ def test_expected_shocks_values():
     assert expected_shocks(point_mass("1/2")) == 2
     assert expected_shocks(point_mass(1)) == 1
     assert expected_shocks(CE) == math.inf
-    v = expected_shocks(uniform_density("1/2", 1))
+    v = expected_shocks(MixingDistribution(segments=(Segment("1/2", 1, 2),)))
     assert abs(v - 2 * math.log(2)) < 1e-10
 
 
@@ -328,6 +339,29 @@ def test_pgf_bounds_seeded_grid():
             assert float(b.lower) <= float(b.phi) + 1e-9, (seed, z)
             assert float(b.phi) <= float(b.upper) + 1e-9, (seed, z)
             assert b.upper_is_geometric  # EY <= 1 on unit support
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6),
+       z=st.one_of(st.fractions(0, 1, max_denominator=1000).filter(lambda z: 0 < z < 1),
+                   st.floats(0, 1, exclude_min=True, exclude_max=True)))
+def test_pgf_bounds_upper_is_the_kernel_at_the_mean(seed, z):
+    """The upper curve is ``kernel`` at E[Y], in value, type and bits, for exact laws
+    and their float copies at exact and float z."""
+    q = family_law(seed)
+    for law in (q, float_copy(q)):
+        if law is not None:
+            upper, ref = pgf_bounds(law, z).upper, kernel(law._means[0], z)
+            assert upper == ref and type(upper) is type(ref) and repr(upper) == repr(ref)
+
+
+@pytest.mark.parametrize("segment", [(0.0, 1e200, 1e-200), (1e200, 2e200, 1e-200)],
+                         ids=["inf", "nan"])
+def test_pgf_bounds_refuses_a_float_mean_that_is_not_finite(segment):
+    """E[Y] reads hi*hi, which overflows past about 1.3e154 in floats."""
+    q = MixingDistribution(segments=(Segment(*segment),))
+    with pytest.raises(ValidationError, match="is not finite"):
+        pgf_bounds(q, 0.5)
 
 
 def test_laplace_order_bounds_matches_pgf_bounds():

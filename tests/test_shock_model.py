@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockpgf import (
+    VERDICT_UNIT_SUPPORT,
     Atom,
     MixingDistribution,
     NumericError,
@@ -22,6 +23,7 @@ from shockpgf import (
     ShockModelParams,
     TailSequence,
     ValidationError,
+    classify_support,
     counterexample_Q,
     counterexample_params,
     counterexample_tail_sequence,
@@ -36,12 +38,13 @@ from shockpgf import (
     simulate_failure_times,
     survival,
     tail_sequence,
-    uniform_density,
 )
 from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
 from shockpgf.shock_model import (_GUIDE, _guide_table, _invert_tail, _kept_weights,
                                   _poisson_weights, _series, _truncation_order)
+
+from laws import family_law, float_copy
 
 CE = counterexample_Q(counterexample_params("1/7", "2/3"))
 
@@ -175,9 +178,12 @@ def test_survival_past_poisson_underflow(mu):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                 pytest.param(F(10**400), id="past-float-range")])
+                                 pytest.param(F(10**400), id="past-float-range"),
+                                 pytest.param(F(-1, 10**400), id="exact-negative"),
+                                 pytest.param("-1e-400", id="negative-string")])
 def test_non_finite_times_are_refused(bad):
-    """F(10**400) is exact and finite, but past the float range the series works in."""
+    """F(10**400) is exact and finite, but past the float range the series works in.
+    -1/10**400 floats to -0.0, but its sign is read from the exact value."""
     t_seq = tail_sequence(CE, 10)
     params = ShockModelParams(lam=1)
     with pytest.raises(ValidationError, match="finite"):
@@ -190,6 +196,23 @@ def test_non_finite_times_are_refused(bad):
         exp_mixture_survival(point_mass(1), bad)
     with pytest.raises(ValidationError, match="lam"):
         ShockModelParams(lam=bad)
+
+
+def test_a_time_is_read_as_a_number():
+    """A time or a time-grid entry given as text is read exactly and then as a float."""
+    t_seq = tail_sequence(CE, 60)
+    params = ShockModelParams(lam=1)
+    assert survival(t_seq, params, "1/2") == survival(t_seq, params, 0.5)
+    assert ShockModelParams(1, time_grid=("1/2", "1")).time_grid == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [None, "abc", True])
+def test_a_time_that_is_not_a_number_is_refused(bad):
+    """A bool is not a time, as it is no other number of the package."""
+    with pytest.raises(ValidationError):
+        survival(tail_sequence(CE, 10), ShockModelParams(lam=1), bad)
+    with pytest.raises(ValidationError):
+        ShockModelParams(1, time_grid=(bad,))
 
 
 @pytest.mark.parametrize("tol", [F(1, 10**400), "1e-400", F(1, 2**1075)],
@@ -222,7 +245,7 @@ def test_laplace_reads_off_the_pgf():
 def test_rate_mixture_rescales_support():
     assert rate_mixture(point_mass("1/2"), 2) == point_mass(1)
     assert rate_mixture(CE, 1) == CE
-    g = rate_mixture(uniform_density(0, 1), 2)
+    g = rate_mixture(MixingDistribution(segments=(Segment(0, 1, 1),)), 2)
     assert g.segments == (Segment(0, 2, F(1, 2)),)
     assert g.total_mass == 1
     with pytest.raises(ValidationError):
@@ -237,9 +260,21 @@ def test_exp_mixture_survival_values():
         exp_mixture_survival(g, -1)
 
 
+@pytest.mark.parametrize("t", [F(1, 10**400), "1e-400"], ids=["fraction", "decimal-string"])
+def test_exp_mixture_survival_at_an_exact_time_that_floats_to_zero(t):
+    """Each segment gives its t -> 0 limit, density * (hi - lo), summed in floats."""
+    laws = [MixingDistribution(segments=(Segment(0, 1, 1),)),
+            MixingDistribution(atoms=(Atom("1/2", "1/2"),), segments=(Segment(1, 2, "1/2"),)),
+            MixingDistribution(segments=(Segment(0.0, 0.5, 0.5), Segment(0.5, 1.0, 1.5)))]
+    for g in laws:
+        v = exp_mixture_survival(g, t)
+        assert isinstance(v, float) and v == min(float(g.total_mass), 1.0), g
+
+
 @pytest.mark.parametrize("g", [
     point_mass(F(10**400)),
-    mix([(F(1, 2), point_mass(1)), (F(1, 2), uniform_density(F(10**400), F(10**400) + 1))]),
+    mix([(F(1, 2), point_mass(1)),
+         (F(1, 2), MixingDistribution(segments=(Segment(F(10**400), F(10**400) + 1, 1),)))]),
 ], ids=["atom", "segment"])
 def test_exp_mixture_survival_refuses_rates_past_the_float_range(g):
     """float(rate) raised OverflowError; t = 0 stays exact."""
@@ -688,7 +723,7 @@ def test_de_finetti_unit_atom_is_exact():
 
 
 def test_de_finetti_matches_pgf():
-    q = uniform_density(0, 1)
+    q = MixingDistribution(segments=(Segment(0, 1, 1),))
     sim = simulate_de_finetti(q, ("1/4", "1/2", "3/4"), 20000, 13)
     for e, se, a in zip(sim.empirical, sim.std_err, sim.analytic):
         assert abs(e - a) < 3.5 * se
@@ -726,6 +761,31 @@ def test_refused_laws_are_refused_before_any_draw(monkeypatch):
     params = ShockModelParams(lam=1, time_grid=(1.0, 100.0))
     with pytest.raises(ValidationError, match="tail sequence too short"):
         simulate_failure_times(point_mass(1), params, 10**6, 0, K=5)
+
+
+#: Mass 1e-13 at 3/2 and the rest on [0, 1): a float law that ``classify_support`` puts in
+#: the middle ground, however little mass lies beyond 1.
+DUST_BEYOND_ONE = MixingDistribution(atoms=(Atom(1.5, 1e-13),),
+                                     segments=(Segment(0.0, 1.0, 1 - 1e-13),))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.integers(0, 10**6).map(family_law))
+@example(q=DUST_BEYOND_ONE)
+def test_de_finetti_refuses_what_classify_support_puts_outside_the_unit(q):
+    """A law, exact or its float copy, is refused before any draw exactly when
+    ``classify_support`` does not call it unit-support; a unit law reaches its first draw."""
+    for law in (q, float_copy(q)):
+        if law is None:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shock_model, "_stream", no_streams)
+            if classify_support(law).verdict == VERDICT_UNIT_SUPPORT:
+                with pytest.raises(Drew):
+                    simulate_de_finetti(law, (0.5,), 10, 0)
+            else:
+                with pytest.raises(ValidationError, match=r"support must sit inside \(0, 1\]"):
+                    simulate_de_finetti(law, (0.5,), 10, 0)
 
 
 @pytest.mark.parametrize("n", [2**45, 2**61])
