@@ -287,10 +287,13 @@ class MixingDistribution(Record):
 
     @cached_property
     def _means(self) -> tuple[Num, Num]:
-        """(E[Y], E[1/Y]), exact for exact data; E[1/Y] is math.inf when a segment with
-        positive density starts at 0, and a segment [lo, hi) with lo > 0 gives it
-        density * log1p((hi-lo)/lo), which keeps a narrow segment's relative accuracy."""
-        mean_y = integrate(self, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2))
+        """(E[Y], E[1/Y]), exact for exact data. A segment [lo, hi) gives E[Y] density *
+        (hi*hi - lo*lo) / 2, or its mass times lo/2 + hi/2 where the float hi*hi overflows
+        (hi past about 1.3e154). E[1/Y] is math.inf when a segment with positive density
+        starts at 0, and a segment with lo > 0 gives it density * log1p((hi-lo)/lo), which
+        keeps a narrow segment's relative accuracy."""
+        mean_y = integrate(self, lambda y: y, lambda lo, hi, d: d * ((hi * hi - lo * lo) / 2)
+                           if hi * hi < math.inf else d * (hi - lo) * (lo / 2 + hi / 2))
         if any(s.lo == 0 and s.density > 0 for s in self.segments):
             return mean_y, math.inf
         return mean_y, integrate(self, lambda y: 1 / y,

@@ -175,6 +175,15 @@ def _lcm_through(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
+def _require_numbers(values: tuple, entry: str) -> None:
+    """Refuse an entry that is not an int, a Fraction or a float, or is a bool, naming the
+    first by ``entry.format(k, v)``; the entries are read in one pass in C, by their types."""
+    if bad := [t for t in set(map(type, values))
+               if t is bool or not issubclass(t, (int, Fraction, float))]:
+        k = next(k for k, v in enumerate(values) if type(v) in bad)
+        raise ValidationError(f"{entry.format(k, values[k])} is not an int, Fraction or float")
+
+
 class TailSequence(Record):
     """Tails u_k = P(count > k), k = 0..K.
 
@@ -186,6 +195,8 @@ class TailSequence(Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[Num, ...], *, _scaled: tuple | None = None):
+        if _scaled is None:  # ``tail_sequence``'s exact tables hold Fractions it made
+            _require_numbers(values, "entry k={} = {!r}")
         super().__init__(values)
         # (n_k, M, B) with u_k = n_k / (M*(k+1)*B**(k+1)), as ``tail_sequence`` built it
         _set(self, "_scaled", _scaled)
@@ -284,9 +295,8 @@ class PmfSequence(Record):
         vals = tuple(values)
         if not vals:
             raise ValidationError("pmf must have at least one entry")
+        _require_numbers(vals, "pmf entry q_{} = {!r}")
         for n, v in enumerate(vals):
-            if not isinstance(v, (int, Fraction, float)) or isinstance(v, bool):
-                raise ValidationError(f"pmf entry q_{n} = {v!r} is not an int, Fraction or float")
             if v != v:
                 raise ValidationError(f"pmf entry q_{n} is NaN")
             if v < 0:
@@ -465,18 +475,17 @@ def lemma22_coefficients(q: PmfSequence, K: int) -> list[Num]:
 class CounterexampleParams(Record):
     """Two parameters of the piecewise-constant family used as a stress case.
 
-    alpha sets the width of the overshoot segment past 1, beta its mass.
-    Both must be rational so the family's closed forms stay exact.
+    alpha sets the width of the overshoot segment past 1, beta its mass. Both are read by
+    ``parse_number`` and must be rational, so the family's closed forms stay exact.
     """
 
     __slots__ = _fields = ("alpha", "beta")
 
-    def __init__(self, alpha: Fraction, beta: Fraction):
-        for name, v in (("alpha", alpha), ("beta", beta)):
-            if not isinstance(v, Fraction):
-                raise ValidationError(f"{name} must be a Fraction, got {type(v).__name__}")
-            require_positive(v, name, 1)
-        super().__init__(alpha, beta)
+    def __init__(self, alpha, beta):
+        alpha, beta = parse_number(alpha), parse_number(beta)
+        if not (is_exact(alpha) and is_exact(beta)):
+            raise ValidationError("alpha and beta must be rational, e.g. '1/7'")
+        super().__init__(require_positive(alpha, "alpha", 1), require_positive(beta, "beta", 1))
 
     @property
     def admissible(self) -> bool:
@@ -488,11 +497,7 @@ class CounterexampleParams(Record):
 
 def counterexample_params(alpha, beta) -> CounterexampleParams:
     """Parse and validate family parameters; rational inputs only."""
-    a = parse_number(alpha)
-    b = parse_number(beta)
-    if not is_exact(a) or not is_exact(b):
-        raise ValidationError("alpha and beta must be rational, e.g. '1/7'")
-    return CounterexampleParams(Fraction(a), Fraction(b))
+    return CounterexampleParams(alpha, beta)
 
 
 def counterexample_Q(p: CounterexampleParams) -> MixingDistribution:

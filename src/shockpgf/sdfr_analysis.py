@@ -198,7 +198,7 @@ def pgf_bounds(q: MixingDistribution, z) -> PgfBounds:
     z = parse_number(z)
     phi = pgf_eval(q, z)  # refuses z outside (0, 1)
     mean_y, mean_shocks = q._means
-    if not (is_exact(mean_y) or math.isfinite(mean_y)):  # a float segment's hi*hi may overflow
+    if not (is_exact(mean_y) or math.isfinite(mean_y)):  # a float sum near the float max
         raise ValidationError(f"kernel argument y={mean_y} is not finite")
     upper = _kernel(mean_y, z)
     try:

@@ -291,25 +291,23 @@ def _invert_tail(tail: np.ndarray, guide: np.ndarray, u: np.ndarray, model: str,
     return j
 
 
-def _location_table(q: MixingDistribution):
-    """Cumulative component masses, then a base and a width per component:
-    (y, 0.0) for an atom, (lo, hi - lo) for a segment."""
+def _replicates(n: int, seed: int, draw) -> np.ndarray:
+    """n replicates in blocks of ``_BLOCK``: block b is ``draw(count, first, second)`` of the
+    Philox streams ``_stream(seed, 2*b)`` and ``_stream(seed, 2*b+1)``, count being what is
+    left in a partial last block. The output depends only on (draw, n, seed); a larger n keeps
+    every full block, and the partial one too when draw reads each stream in replicate order.
+    The buffer is allocated before the first stream opens, or refused naming n."""
     import numpy as np
-    weights = [float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments]
-    base = [float(a.y) for a in q.atoms] + [float(s.lo) for s in q.segments]
-    width = [0.0] * len(q.atoms) + [float(s.hi) - float(s.lo) for s in q.segments]
-    return np.cumsum(weights), np.array(base), np.array(width)
-
-
-def _draw_locations(table, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n locations from two uniform blocks of rng: the first picks the component by mass,
-    the second places the draw inside a segment (an atom adds v * 0.0 to its location)."""
-    import numpy as np
-    cum, base, width = table
-    u = rng.random(n) * cum[-1]
-    v = rng.random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    return base[idx] + v * width[idx]
+    try:
+        out = np.empty(n)
+    except (MemoryError, ValueError):
+        raise ValidationError(
+            f"replicate count n={n} is too large: its {8 * n}-byte buffer cannot be allocated"
+        ) from None
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        count = min(_BLOCK, n - start)
+        out[start:start + count] = draw(count, _stream(seed, 2 * b), _stream(seed, 2 * b + 1))
+    return out
 
 
 class SimulatedCurve(Record):
@@ -341,14 +339,13 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
     (ratio matched at K), "harmonic" (1/(k+1) decay matched at K), or
     "none", which insists the leftover mass is below 1e-6.
 
-    Replicates are generated in fixed-size blocks, each from its own
-    counter-based stream derived from (seed, block), so the output depends
-    only on (q, params, n, seed) and extending n preserves a common prefix.
-    The analytic column, and with it every refusal, comes before the first
-    draw, as does the allocation of the n-replicate buffer.
+    Each block of ``_replicates`` draws its uniforms from the first stream and its
+    gamma times from the second, so the output depends only on (q, params, n, seed).
+    The analytic column, and with it every refusal, comes before the first draw.
     """
     import numpy as np
-    _check_sim_args(n, seed)
+    require_int(n, "replicate count", 1)
+    require_int(seed, "seed")
     if tail_model not in ("none", "geometric", "harmonic"):
         raise ValidationError(f"unknown tail model {tail_model!r}")
     if not params.time_grid:
@@ -367,14 +364,14 @@ def simulate_failure_times(q: MixingDistribution, params: ShockModelParams, n: i
         ratio = float(tail[-1] / tail[-2])
     ana = tuple(_curve(t_seq, params, params.time_grid))
     guide = _guide_table(tail)
-    lam = float(params.lam)
-    times = _replicate_buffer(n)
-    for b, start in enumerate(range(0, n, _BLOCK)):
-        count = min(_BLOCK, n - start)
-        u = _stream(seed, 2 * b).random(count)
+    scale = 1.0 / float(params.lam)
+
+    def draw(count, first, second):
+        u = first.random(count)
         j = _invert_tail(tail, guide, np.maximum(u, 1e-300, out=u), tail_model, ratio)
-        gaps = _stream(seed, 2 * b + 1).gamma(shape=j.astype(np.float64), scale=1.0 / lam)
-        times[start:start + count] = gaps
+        return second.gamma(shape=j.astype(np.float64), scale=scale)
+
+    times = _replicates(n, seed, draw)
     emp = tuple(float(np.count_nonzero(times > t) / n) for t in params.time_grid)
     se = tuple(math.sqrt(p * (1.0 - p) / n) for p in emp)
     return SimulatedCurve("t", params.time_grid, emp, se, ana, n, seed)
@@ -385,11 +382,15 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> Sim
 
     Requires q supported in (0, 1] as ``classify_support`` decides, to the last float of
     mass. Each replicate draws y from q and then a geometric count with success chance y;
-    the empirical mean of z**N is compared with the mixture p.g.f. Block structure,
-    determinism and the refusals before the first draw match ``simulate_failure_times``.
+    the empirical mean of z**N is compared with the mixture p.g.f. Each block of
+    ``_replicates`` takes two uniform blocks from the first stream, one to pick the
+    component by mass and one to place y inside a segment (an atom adds v * 0.0), and the
+    geometric counts from the second. Determinism and the refusals before the first draw
+    match ``simulate_failure_times``.
     """
     import numpy as np
-    _check_sim_args(n, seed)
+    require_int(n, "replicate count", 1)
+    require_int(seed, "seed")
     if (support := classify_support(q)).verdict != VERDICT_UNIT_SUPPORT:
         raise ValidationError(f"support must sit inside (0, 1]; that region holds mass "
                               f"{support.m01}")
@@ -397,32 +398,21 @@ def simulate_de_finetti(q: MixingDistribution, z_grid, n: int, seed: int) -> Sim
     if not zs:
         raise ValidationError("z grid must be non-empty")
     ana = tuple(float(pgf_eval(q, z)) for z in zs)
-    table = _location_table(q)
-    counts = _replicate_buffer(n)
-    for b, start in enumerate(range(0, n, _BLOCK)):
-        count = min(_BLOCK, n - start)
-        y = _draw_locations(table, count, _stream(seed, 2 * b))
-        counts[start:start + count] = _stream(seed, 2 * b + 1).geometric(
-            np.clip(y, 1e-12, 1.0, out=y))
+    cum = np.cumsum([float(a.p) for a in q.atoms] + [float(s.mass) for s in q.segments])
+    base = np.array([float(a.y) for a in q.atoms] + [float(s.lo) for s in q.segments])
+    width = np.array([0.0] * len(q.atoms) + [float(s.hi) - float(s.lo) for s in q.segments])
+
+    def draw(count, first, second):
+        u = first.random(count) * cum[-1]
+        v = first.random(count)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        y = base[idx] + v * width[idx]
+        return second.geometric(np.clip(y, 1e-12, 1.0, out=y))
+
+    counts = _replicates(n, seed, draw)
     emp, se = [], []
     for z in zs:
         vals = np.power(z, counts)
         emp.append(float(np.mean(vals)))
         se.append(float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
     return SimulatedCurve("z", tuple(zs), tuple(emp), tuple(se), ana, n, seed)
-
-
-def _replicate_buffer(n: int) -> np.ndarray:
-    """An uninitialised float64 buffer of n replicates, or ValidationError naming n."""
-    import numpy as np
-    try:
-        return np.empty(n)
-    except (MemoryError, ValueError):
-        raise ValidationError(
-            f"replicate count n={n} is too large: its {8 * n}-byte buffer cannot be allocated"
-        ) from None
-
-
-def _check_sim_args(n, seed) -> None:
-    require_int(n, "replicate count", 1)
-    require_int(seed, "seed")

@@ -556,6 +556,18 @@ def test_counterexample_params_accepts_exact_strings():
     assert p.alpha == F(1, 2) and p.beta == F(2, 3)
 
 
+def test_counterexample_params_is_its_constructor():
+    """The constructor reads both values as ``counterexample_params`` does: exact strings
+    and ints are accepted as Fractions, a float is refused as not rational."""
+    p = CounterexampleParams("1/7", "2/3")
+    assert p == counterexample_params("1/7", "2/3") == CounterexampleParams(F(1, 7), F(2, 3))
+    assert type(p.alpha) is type(p.beta) is F
+    with pytest.raises(ValidationError, match="alpha and beta must be rational"):
+        CounterexampleParams("1/7", 0.5)
+    with pytest.raises(ValidationError, match=r"beta=1 outside \(0, 1\)"):
+        CounterexampleParams("1/7", 1)
+
+
 def test_counterexample_params_rejects_float():
     with pytest.raises(ValidationError):
         counterexample_params(0.5, "2/3")
@@ -589,7 +601,7 @@ def test_admissible_tails_are_valid(i):
     (lambda: PmfSequence([F(1, 2), F(3, 4)]), "pmf mass 5/4 exceeds 1"),
     (lambda: PmfSequence([0.5, 0.75]), "pmf mass 1.25 exceeds 1"),
     (lambda: lemma22_coefficients([F(1)], 3), "must be a PmfSequence"),
-    (lambda: CounterexampleParams(0.25, F(1, 2)), "alpha must be a Fraction, got float"),
+    (lambda: CounterexampleParams(0.25, F(1, 2)), "alpha and beta must be rational"),
     (lambda: PmfSequence(("1/2", "1/2")), "q_0 = '1/2' is not an int, Fraction or float"),
     (lambda: PmfSequence((F(1, 2), True)), "q_1 = True is not an int, Fraction or float"),
 ], ids=["float-integers", "empty-pmf", "negative-pmf", "exact-pmf-mass", "float-pmf-mass",

@@ -2,8 +2,10 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,18 @@ def test_tail_validity_wraps_reason():
     assert not ok and "negative" in reason
 
 
+@pytest.mark.parametrize("u, k", [(["1", "1/2"], 0), (["a"], 0), ([1, None], 1),
+                                  ([F(1), True], 1), ([1.0, np.int64(0)], 1)],
+                         ids=["text", "word", "none", "bool", "numpy-int"])
+def test_sequence_entries_that_are_not_numbers_are_refused(u, k):
+    """Every entry of a plain sequence is an int, a Fraction or a float, and not a bool."""
+    message = rf"^entry k={k} = .+ is not an int, Fraction or float$"
+    for check in (tail_validity, lambda u: difference_table(u, len(u) - 1),
+                  lambda u: is_completely_monotone(u, len(u) - 1)):
+        with pytest.raises(ValidationError, match=message):
+            check(u)
+
+
 def test_classify_support_regimes():
     assert classify_support(point_mass("1/2")).verdict == VERDICT_UNIT_SUPPORT
     assert classify_support(point_mass(1)).verdict == VERDICT_UNIT_SUPPORT
@@ -355,11 +369,35 @@ def test_pgf_bounds_upper_is_the_kernel_at_the_mean(seed, z):
             assert upper == ref and type(upper) is type(ref) and repr(upper) == repr(ref)
 
 
-@pytest.mark.parametrize("segment", [(0.0, 1e200, 1e-200), (1e200, 2e200, 1e-200)],
-                         ids=["inf", "nan"])
-def test_pgf_bounds_refuses_a_float_mean_that_is_not_finite(segment):
-    """E[Y] reads hi*hi, which overflows past about 1.3e154 in floats."""
+@pytest.mark.parametrize("segment", [(0.0, 1e200, 1e-200), (1e200, 2e200, 1e-200),
+                                     (1e308, 1.7e308, 1 / 7e307)],
+                         ids=["from-0", "from-1e200", "to-the-float-max"])
+def test_a_float_segment_past_the_square_range_has_its_mean(segment):
+    """hi*hi overflows past about 1.3e154, yet E[Y] is the exact mean of the law's
+    scalars to a few ulps, and finite up to the largest float."""
     q = MixingDistribution(segments=(Segment(*segment),))
+    lo, hi, d = map(F, segment)
+    exact = d * (hi * hi - lo * lo) / 2
+    assert math.isclose(q._means[0], exact, rel_tol=4 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("segment", [(0.0, 1e200, 1e-200), (1e200, 2e200, 1e-200)],
+                         ids=["from-0", "from-1e200"])
+def test_both_bounds_answer_a_float_segment_past_the_square_range(segment):
+    """Both bounds answer the law that ``pgf_eval`` answers, with the same E[Y]."""
+    q = MixingDistribution(segments=(Segment(*segment),))
+    b = pgf_bounds(q, 0.5)
+    assert b.mean_y == q._means[0] and math.isfinite(b.upper) and b.upper >= b.phi
+    lb = laplace_order_bounds(q, 1, 1)
+    assert (lb.lower, lb.value, lb.upper) == (b.lower, b.phi, b.upper)
+
+
+def test_pgf_bounds_refuses_a_float_mean_that_is_not_finite():
+    """Two atoms at the top of the float range whose float E[Y] overflows to inf."""
+    top = sys.float_info.max
+    q = MixingDistribution(atoms=(Atom(top, 0.5 + 4.9e-13),
+                                  Atom(math.nextafter(top, 0), 0.5 + 4.9e-13)))
+    assert q._means[0] == math.inf
     with pytest.raises(ValidationError, match="is not finite"):
         pgf_bounds(q, 0.5)
 

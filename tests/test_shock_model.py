@@ -41,7 +41,7 @@ from shockpgf import (
 )
 from shockpgf import shock_model
 from shockpgf.families import random_mid_mass, random_unit_support
-from shockpgf.shock_model import (_GUIDE, _guide_table, _invert_tail, _kept_weights,
+from shockpgf.shock_model import (_BLOCK, _GUIDE, _guide_table, _invert_tail, _kept_weights,
                                   _poisson_weights, _series, _truncation_order)
 
 from laws import family_law, float_copy
@@ -693,6 +693,65 @@ def test_growing_n_keeps_the_replicate_prefix():
     assert all(d >= 0 for d in extra)
     assert all(later <= earlier for earlier, later in zip(extra, extra[1:]))
     assert extra[0] > extra[-1]
+
+
+#: One small run of each simulator at n replicates, on a law with atoms and a segment.
+SIMULATORS = {
+    "failure-times": lambda n: simulate_failure_times(
+        point_mass("1/2"), ShockModelParams(lam=1, time_grid=(1.0, 2.0)), n, 7, K=80),
+    "de-finetti": lambda n: simulate_de_finetti(
+        MixingDistribution(atoms=(Atom("1/2", "1/2"),), segments=(Segment("1/4", "3/4", 1),)),
+        (0.25, 0.5), n, 7),
+}
+
+
+def spy_on_blocks(monkeypatch):
+    """Patch ``_stream`` and ``_replicates`` to record, in order, each stream index opened,
+    each block size drawn and each ``draw`` a simulator hands to ``_replicates``."""
+    streams, sizes, draws = [], [], []
+    stream, replicates = shock_model._stream, shock_model._replicates
+
+    def opened(seed, index):
+        streams.append(index)
+        return stream(seed, index)
+
+    def made(n, seed, draw):
+        def sized(count, first, second):
+            sizes.append(count)
+            return draw(count, first, second)
+        draws.append(draw)
+        return replicates(n, seed, sized)
+
+    monkeypatch.setattr(shock_model, "_stream", opened)
+    monkeypatch.setattr(shock_model, "_replicates", made)
+    return streams, sizes, draws
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS.values(), ids=SIMULATORS)
+def test_block_b_reads_the_streams_2b_and_2b_plus_1(simulate, monkeypatch):
+    """Two full blocks of 16384 replicates and a partial one of 5, each from its own pair
+    of streams in order; watching the calls leaves the output as it is."""
+    plain = simulate(2 * 16384 + 5)
+    streams, sizes, _ = spy_on_blocks(monkeypatch)
+    assert simulate(2 * 16384 + 5) == plain
+    assert streams == [0, 1, 2, 3, 4, 5]
+    assert sizes == [16384, 16384, 5]
+
+
+@pytest.mark.parametrize("name, n1, n2", [
+    *(("failure-times", n1, n2) for n1, n2 in ((5, _BLOCK), (_BLOCK - 1, _BLOCK + 1),
+                                               (_BLOCK, 2 * _BLOCK + 5), (_BLOCK + 3, _BLOCK + 9))),
+    *(("de-finetti", n1, n2) for n1, n2 in ((_BLOCK, _BLOCK + 1), (_BLOCK, 2 * _BLOCK + 5),
+                                            (2 * _BLOCK, 2 * _BLOCK + 5)))])
+def test_more_replicates_keep_the_first_ones(name, n1, n2, monkeypatch):
+    """With a simulator's draw, n1 < n2 replicates are the first n1 of n2, on either side of
+    a block edge. The de Finetti draw takes two uniform blocks of the block's size from its
+    first stream, so its partial last block moves as n grows: there n1 ends on an edge."""
+    replicates = shock_model._replicates
+    _, _, draws = spy_on_blocks(monkeypatch)
+    SIMULATORS[name](1)
+    short, long = replicates(n1, 11, draws[0]), replicates(n2, 11, draws[0])
+    assert len(short) == n1 and np.array_equal(short, long[:n1])
 
 
 def test_simulation_error_shrinks_like_root_n():
