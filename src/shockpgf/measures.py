@@ -14,6 +14,7 @@ import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import ValidationError
@@ -29,12 +30,27 @@ def parse_number(x: int | float | str | Fraction) -> Num:
     """Coerce a scalar to Fraction (exact inputs) or float.
 
     Strings accept both "num/den" and decimal forms and always parse
-    exactly. Plain ints are promoted to Fraction so later arithmetic does
-    not silently fall into float division. A decimal is refused when its
+    exactly: plain ASCII "digits" and "digits/digits" with ``int`` and one gcd, every
+    other form with ``Fraction(text)``. Plain ints are promoted to Fraction so later
+    arithmetic does not silently fall into float division. A decimal is refused when its
     mantissa digits plus |exponent| pass the int-to-text digit limit (4300
     when the interpreter sets none): its numerator or denominator might not
     print, and ``Fraction`` would spend minutes on ``1e100000000``.
     """
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        try:
+            if x.isascii() and num.isdigit() and (den.isdigit() or not slash):
+                n, d = int(num), int(den) if slash else 1
+                if d:  # 1/0 is refused by ``Fraction`` below
+                    return _coprime(n // (g := math.gcd(n, d)), d // g)
+            mantissa, e, exponent = x.lower().partition("e")
+            if e and (sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+                      > (getattr(sys, "get_int_max_str_digits", int)() or 4300)):
+                raise ValueError("exponent past the digit limit")
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot parse number {x!r}") from exc
     if isinstance(x, bool):
         raise ValidationError(f"expected a number, got {x!r}")
     if isinstance(x, Fraction):
@@ -43,16 +59,14 @@ def parse_number(x: int | float | str | Fraction) -> Num:
         return Fraction(x)
     if isinstance(x, float):
         return x
-    if isinstance(x, str):
-        mantissa, e, exponent = x.lower().partition("e")
-        try:
-            if e and (sum(map(str.isdigit, mantissa)) + abs(int(exponent))
-                      > (getattr(sys, "get_int_max_str_digits", int)() or 4300)):
-                raise ValueError("exponent past the digit limit")
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse number {x!r}") from exc
     raise ValidationError(f"expected a number, got {type(x).__name__}")
+
+
+def _coprime(n: int, d: int) -> Fraction:
+    """n / d of a coprime pair, d > 0, made as CPython 3.12's ``Fraction._from_coprime_ints``."""
+    v = object.__new__(Fraction)
+    v._numerator, v._denominator = n, d
+    return v
 
 
 def is_exact(x: Num) -> bool:
@@ -171,6 +185,10 @@ class Record:
     __delattr__ = __setattr__
 
 
+def _by_location(keys: list, parts: tuple) -> tuple:  # both, stably by each key's location
+    return tuple(zip(*sorted(zip(keys, parts), key=lambda kp: kp[0][0]))) or ((), ())
+
+
 class Atom(Record):
     """Point mass p at location y."""
 
@@ -190,65 +208,84 @@ class Segment(Record):
 class MixingDistribution(Record):
     """Point masses plus a piecewise-constant density on [0, inf).
 
-    Every scalar is read by ``parse_number`` (a string such as "1/7" is exact, an int
-    becomes a Fraction, a bool is refused). Invariants: every scalar is finite, every atom
-    has positive mass at a strictly positive location, segments are disjoint with
-    non-negative density, and the total mass is one (exactly for rational
-    data, within MASS_TOL otherwise). Atoms and segments are stored sorted
-    by location. ``_live_segments``, ``_float_atoms`` and ``_means`` are worked out once
-    and kept (the law is frozen and holds immutable numbers); they are not fields, so
-    they stay out of equality, hashing, repr, JSON and pickles.
+    Every scalar is read by ``parse_number`` (a string such as "1/7" is exact, an int becomes a
+    Fraction, a bool is refused). Invariants: every scalar is finite, every atom has positive mass
+    at a strictly positive location, segments are disjoint with non-negative density, and the total
+    mass is one (exactly for rational data, within MASS_TOL otherwise). Atoms and segments are
+    stored sorted by location. ``_form`` = (B, M, atoms, segments) is the law on one integer scale,
+    which the checks, ``classify_support`` and ``tail_sequence`` read: an exact law puts locations
+    and endpoints over B, the lcm of their denominators, and masses and densities over M, the lcm
+    of theirs, so an atom is the int pair (y*B, p*M) and a segment (lo*B, hi*B, density*M); a law
+    with a float scalar keeps its own scalars, with B = M = 1. ``exact``, ``_form``,
+    ``_live_segments``, ``_float_atoms`` and ``_means`` are worked out once and kept (the law is
+    frozen and holds immutable numbers); not being fields, they stay out of equality, hashing,
+    repr, JSON and pickles.
     """
 
     _fields = ("atoms", "segments")
 
     def __init__(self, atoms: tuple[Atom, ...] = (), segments: tuple[Segment, ...] = ()):
+        inexact = []  # the parts that hold a float
+
         def parsed(part):  # the part itself when each scalar is a Fraction or a finite float
             given = part._values
+            if all(map(isinstance, given, repeat(Fraction))):
+                return part
             if not all(isinstance(x, (Fraction, float)) for x in given):
                 return parsed(type(part)(*map(parse_number, given)))
             for k, x in zip(part._fields, given):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ValidationError(f"{type(part).__name__.lower()} {k}={x!r} is not finite")
+            inexact.append(part)
             return part
 
-        atoms = tuple(sorted(map(parsed, atoms), key=lambda a: a.y))
-        segments = tuple(sorted(map(parsed, segments), key=lambda s: s.lo))
+        def over(x: Fraction, den: int) -> int:
+            return x.numerator * (den // x.denominator)
+
+        atoms, segments = tuple(map(parsed, atoms)), tuple(map(parsed, segments))
+        if exact := not inexact:
+            B = math.lcm(*(a.y.denominator for a in atoms),
+                         *(x.denominator for s in segments for x in (s.lo, s.hi)))
+            M = math.lcm(*(a.p.denominator for a in atoms),
+                         *(s.density.denominator for s in segments))
+            akeys = [(over(a.y, B), over(a.p, M)) for a in atoms]
+            skeys = [(over(s.lo, B), over(s.hi, B), over(s.density, M)) for s in segments]
+        else:
+            B = M = 1
+            akeys, skeys = [a._values for a in atoms], [s._values for s in segments]
+        akeys, atoms = _by_location(akeys, atoms)
+        skeys, segments = _by_location(skeys, segments)
         super().__init__(atoms, segments)
+        _set(self, "exact", exact)
+        _set(self, "_form", (B, M, akeys, skeys))
         seen = set()
-        for a in atoms:
-            if a.y < 0:
+        for (y, p), a in zip(akeys, atoms):
+            if y < 0:
                 raise ValidationError(f"atom location {a.y} is negative")
-            if a.y == 0:
+            if y == 0:
                 raise ValidationError("atom at the origin: mass at 0 must be zero")
-            if not 0 < a.p <= 1:
+            if not 0 < p <= M:
                 raise ValidationError(f"atom mass {a.p} outside (0, 1]")
-            if a.y in seen:
+            if y in seen:
                 raise ValidationError(f"duplicate atom location {a.y}")
-            seen.add(a.y)
-        for s in segments:
-            if s.lo < 0:
+            seen.add(y)
+        for (lo, hi, d), s in zip(skeys, segments):
+            if lo < 0:
                 raise ValidationError(f"segment lower endpoint {s.lo} is negative")
-            if not s.lo < s.hi:
+            if not lo < hi:
                 raise ValidationError(f"segment [{s.lo}, {s.hi}) is empty or reversed")
-            if s.density < 0:
+            if d < 0:
                 raise ValidationError(f"segment density {s.density} is negative")
-        for left, right in zip(segments, segments[1:]):
-            if right.lo < left.hi:
+        for (_, hi, _), (lo, _, _), left, right in zip(skeys, skeys[1:], segments, segments[1:]):
+            if lo < hi:
                 raise ValidationError(
                     f"segments [{left.lo}, {left.hi}) and [{right.lo}, {right.hi}) overlap"
                 )
-        total = self.total_mass
-        if self.exact:
-            if total != 1:
-                raise ValidationError(f"total mass is {total}, must be exactly 1")
-        elif abs(total - 1) > MASS_TOL:
+        if exact:  # sum(p*M)*B + sum(density*M*(hi*B - lo*B)) is M*B when the total is 1
+            if sum(p for _, p in akeys) * B + sum(d * (hi - lo) for lo, hi, d in skeys) != M * B:
+                raise ValidationError(f"total mass is {self.total_mass}, must be exactly 1")
+        elif abs((total := self.total_mass) - 1) > MASS_TOL:
             raise ValidationError(f"total mass is {total!r}, must be 1 within {MASS_TOL}")
-
-    @property
-    def exact(self) -> bool:  # the constructor leaves each scalar a Fraction or a float
-        return not any(isinstance(x, float) for part in (*self.atoms, *self.segments)
-                       for x in part._values)
 
     @property
     def total_mass(self) -> Num:
@@ -306,16 +343,16 @@ class MixingDistribution(Record):
         if not isinstance(doc, dict):
             raise ValidationError("distribution document must be a JSON object")
 
-        def grab(entry, field: str, where: str) -> Num:
+        def grab(entry, field: str, key: str, i: int) -> Num:
             if not isinstance(entry, dict) or field not in entry:
-                raise ValidationError(f"{where} is missing field {field!r}")
+                raise ValidationError(f"{key}[{i}] is missing field {field!r}")
             return parse_number(entry[field])
 
         def parts(key: str, kind) -> tuple:  # the JSON keys are the fields ``jsonable`` writes
             entries = [] if doc.get(key) is None else doc[key]
             if not isinstance(entries, list):
                 raise ValidationError(f"{key!r} must be a list, got {type(entries).__name__}")
-            return tuple(kind(*(grab(entry, f, f"{key}[{i}]") for f in kind._fields))
+            return tuple(kind(*(grab(entry, f, key, i) for f in kind._fields))
                          for i, entry in enumerate(entries))
 
         return cls(parts("atoms", Atom), parts("segments", Segment))
@@ -380,8 +417,11 @@ def mass_on(q: MixingDistribution, lo, hi, include_lo: bool = False,
             include_hi: bool = False) -> Num:
     """Measure of an interval, with explicit endpoint inclusion flags.
 
-    Exact for exact distributions. ``hi`` may be math.inf.
+    Exact for exact distributions. ``parse_number`` reads lo and hi; hi may be math.inf, NaN fails.
     """
+    lo, hi = parse_number(lo), parse_number(hi)
+    if lo != lo or hi != hi:
+        raise ValidationError(f"interval endpoint is NaN: lo={lo}, hi={hi}")
     if lo > hi:
         raise ValidationError(f"interval endpoints reversed: lo={lo} > hi={hi}")
     total: Num = 0

@@ -22,8 +22,9 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, floordiv, le, mul
 
 from .errors import NumericError, ValidationError
-from .measures import (MASS_TOL, MixingDistribution, Num, Record, Segment, _set, csv_text,
-                       integrate, is_exact, jsonable, parse_number, require_int, require_positive)
+from .measures import (MASS_TOL, MixingDistribution, Num, Record, Segment, _coprime, _set,
+                       csv_text, integrate, is_exact, jsonable, parse_number, require_int,
+                       require_positive)
 
 
 def kernel(y, z) -> Num:
@@ -67,13 +68,17 @@ _RECENT_SIZE = 32
 _recent: OrderedDict = OrderedDict()  # ``pgf_eval``'s (id(q), type(z), z) -> (q, phi)
 
 
+def _mid(a: float, b: float) -> float:  # 0.5 * (a + b), or halves summed where a + b overflows
+    return mid if (mid := 0.5 * (a + b)) < math.inf else 0.5 * a + 0.5 * b
+
+
 def _panel(g: Callable[[float, float], float], a: float, b: float) -> float:
     half = 0.5 * (b - a)
-    return half * g(0.5 * (a + b), half)
+    return half * g(_mid(a, b), half)
 
 
 def _refine(g, a: float, b: float, whole: float, tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
+    mid = _mid(a, b)
     left = _panel(g, a, mid)
     right = _panel(g, mid, b)
     if abs(whole - (left + right)) <= tol:
@@ -324,13 +329,6 @@ def require_tail(t: TailSequence) -> None:
         raise ValidationError(f"not a valid tail sequence: {t.violation}")
 
 
-def _coprime(n: int, d: int) -> Fraction:
-    """n / d of a coprime pair, d > 0, made as CPython 3.12's ``Fraction._from_coprime_ints``."""
-    v = object.__new__(Fraction)
-    v._numerator, v._denominator = n, d
-    return v
-
-
 def _lowest(n: int, X: int, B: int, e: int, powers) -> Fraction:
     """n / (X * B**e) in lowest terms, powers[i] = B**(i+1), by gcds with one small operand:
     each step divides out c = gcd(r, Y * B**s), leaving r coprime to the small Y*B**s//c that
@@ -352,8 +350,9 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
 
     For an exact q, every atom location and segment endpoint enters as
     1 - y = a/B over one common denominator B, and every atom mass and
-    density as w/M over one common denominator M. A segment adds w to the
-    net weight w_a of its base a_lo and takes w from that of a_hi, so ends
+    density as w/M over one common denominator M, read from the law's ``_form``
+    (whose B covers segments of density 0 too). A segment adds w to the net
+    weight w_a of its base a_lo and takes w from that of a_hi, so ends
     that segments share hold one net weight. With running integer powers
     of the a's, entry k is the single fraction
 
@@ -387,16 +386,7 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
                 raise ValidationError(f"entry k={k} lies past the float range")
             vals.append(v)
         return TailSequence(tuple(vals))
-    segments = [s for s in q.segments if s.density > 0]
-    B = math.lcm(*(a.y.denominator for a in q.atoms),
-                 *(x.denominator for s in segments for x in (s.lo, s.hi)))
-    M = math.lcm(*(a.p.denominator for a in q.atoms), *(s.density.denominator for s in segments))
-
-    def scaled(x, den: int) -> int:
-        return x.numerator * (den // x.denominator)
-
-    def base(y) -> int:  # B * (1 - y)
-        return (y.denominator - y.numerator) * (B // y.denominator)
+    B, M, atom_ints, segment_ints = q._form
 
     def column(w: int, a: int):  # w, w*a, ..., w*a**K
         return accumulate(repeat(a, K), mul, initial=w)
@@ -404,12 +394,12 @@ def tail_sequence(q: MixingDistribution, K: int) -> TailSequence:
     def total(columns):  # entrywise sums, zeros when there are no columns
         return map(sum, zip(repeat(0, K + 1), *columns))
 
-    net = defaultdict(int)  # signed segment weight per distinct base
-    for s in segments:
-        w = scaled(s.density, M)
-        net[base(s.lo)] += w
-        net[base(s.hi)] -= w
-    atoms = [column(scaled(a.p, M), base(a.y)) for a in q.atoms]
+    net = defaultdict(int)  # signed segment weight per distinct base B - y*B
+    for lo, hi, w in segment_ints:
+        if w:
+            net[B - lo] += w
+            net[B - hi] -= w
+    atoms = [column(w, B - y) for y, w in atom_ints]
     segs = [column(w * x, x) for x, w in net.items() if w and x]
     nums = tuple(map(add, map(mul, range(B, (K + 2) * B, B), total(atoms)), total(segs)))
     powers = list(column(B, B))  # B, B**2, ..., B**(K+1)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, compress, count, pairwise, repeat, starmap, takewhile, tee
-from operator import eq, floordiv, gt, le, mul, sub
+from operator import add, eq, floordiv, gt, le, mul, sub
 
 from .errors import ValidationError
 from .measures import (MixingDistribution, Num, Record, csv_text, is_exact, jsonable,
-                       mass_on, parse_number, require_int, require_positive)
+                       parse_number, require_int, require_positive)
 from .pgf_core import TailSequence, _kernel, pgf_eval
 
 VERDICT_NOT_PGF = "not_pgf_mass_at_or_beyond_2"
@@ -149,15 +149,25 @@ class SupportClassification(Record):
 
 
 def classify_support(q: MixingDistribution) -> SupportClassification:
-    """Split the mass of q at 1 and 2 with ``mass_on``, and name the resulting regime.
+    """Split the mass of q at 1 and 2 in one pass, and name the resulting regime.
 
-    Mass at or beyond 2 rules the mixture out as a p.g.f. outright; support
-    inside (0, 1] makes the tails completely monotone; mass strictly
-    between 1 and 2 is the undecided middle ground where the mixture may or
-    may not be a p.g.f.
+    The masses are ``mass_on``'s on (0, 1], (1, 2) and [2, inf), cut at B and 2B on the
+    law's ``_form``: an exact law sums each over M*B in the integers and makes it once, a
+    float law sums its own scalars in ``mass_on``'s order. Mass at or beyond 2 rules the
+    mixture out as a p.g.f.; support inside (0, 1] makes the tails completely monotone;
+    mass strictly between 1 and 2 is the undecided middle ground.
     """
-    m = (mass_on(q, 0, 1, include_hi=True), mass_on(q, 1, 2),
-         mass_on(q, 2, math.inf, include_lo=True))
+    B, M, atoms, segments = q._form
+    cuts = (0, B, 2 * B, math.inf)
+    parts = ([], [], [])  # each mass's terms in order: its atoms, then its segments
+    for y, p in atoms:
+        parts[(y > B) + (y >= 2 * B)].append(p * B)
+    for lo, hi, d in segments:
+        for terms, c, e in zip(parts, cuts, cuts[1:]):
+            if (b := min(e, hi)) > (a := max(c, lo)):
+                terms.append(d * (b - a))
+    m = [Fraction(sum(terms), M * B) if terms and q.exact else reduce(add, terms, 0)
+         for terms in parts]  # int 0 where nothing lies
     verdict = (VERDICT_NOT_PGF if m[2] > 0 else VERDICT_UNIT_SUPPORT if m[1] == 0
                else VERDICT_CANDIDATE)
     return SupportClassification(verdict, *m)

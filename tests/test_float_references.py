@@ -125,6 +125,15 @@ def test_pgf_eval_within_stated_tolerance(z):
         assert abs(_mp(pgf_eval(q, z)) - _pgf_ref(q, z)) <= 1e-10, q
 
 
+def test_a_law_near_the_float_max_is_integrated():
+    """A panel's midpoint 0.5 * (a + b) overflowed near the float max, so this law was
+    refused with "quadrature did not converge on [1e+308, inf]"; halves are summed there."""
+    q = MixingDistribution(segments=(Segment(1e308, 1.7e308, 1 / 7e307),))
+    for z in (0.5, 1e-310, 1e-308):
+        assert abs(_mp(pgf_eval(q, z)) - _pgf_ref(q, z)) <= 1e-10, z
+    assert pgf_bounds(q, 0.5).phi == pgf_eval(q, 0.5)
+
+
 def _survival_ref(g, t):
     t = _mp(t)
     total = sum(_mp(a.p) * mp.exp(-t * _mp(a.y)) for a in g.atoms)

@@ -277,6 +277,21 @@ def test_mass_on_boundaries():
         mass_on(q, 3, 1)
 
 
+def test_mass_on_reads_its_endpoints_as_numbers():
+    """Endpoints go through ``parse_number``: text parses, a bool and a NaN are refused
+    (they read as 1 and as an empty interval), and math.inf stays a valid hi."""
+    q = point_mass("1/2")
+    assert mass_on(q, "1/4", "1/2", include_hi=True) == 1
+    assert mass_on(q, "0", math.inf) == mass_on(q, 0.25, "0.75") == 1
+    assert mass_on(q, "1/2", math.inf) == 0
+    for lo, hi in ((math.nan, 1), (0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValidationError, match="interval endpoint is NaN"):
+            mass_on(q, lo, hi)
+    for lo, hi in ((True, 2), (0, True), (None, 1), (0, "x")):
+        with pytest.raises(ValidationError, match="expected a number|cannot parse"):
+            mass_on(q, lo, hi)
+
+
 def test_mass_on_additive_over_partition():
     rng = random.Random(5)
     for _ in range(10):
